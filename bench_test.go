@@ -23,7 +23,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/locktrie"
 	"repro/internal/relaxed"
-	"repro/internal/resize"
 	"repro/internal/sharded"
 	"repro/internal/skiplist"
 	"repro/internal/versioned"
@@ -583,74 +582,6 @@ func BenchmarkAdaptiveUpdates(b *testing.B) {
 			})
 		})
 	}
-}
-
-// BenchmarkResizeUpdates measures the resize wrapper's per-op tax — one
-// epoch load plus the gate acquire/validate/release — against the bare
-// sharded trie, and the same path with migrations cycling underneath
-// (the triebench RS1 sweep measures the adaptive-vs-fixed trajectory
-// with fixed op budgets).
-func BenchmarkResizeUpdates(b *testing.B) {
-	const u = int64(1 << 14)
-	mkResize := func() *resize.Set {
-		s, err := resize.NewSet(4,
-			func(k int) (*sharded.Trie, error) { return sharded.New(u, k) },
-			resize.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return s
-	}
-	bench := func(b *testing.B, s harness.Set) {
-		prefillEvery(s, u, 4)
-		runParallelOps(b, 8, func(id int, rng *rand.Rand) {
-			k := rng.Int63n(u)
-			if rng.Intn(2) == 0 {
-				s.Insert(k)
-			} else {
-				s.Delete(k)
-			}
-		})
-	}
-	b.Run("sharded-bare", func(b *testing.B) { bench(b, mustSharded(u, 4)) })
-	b.Run("resize-stable", func(b *testing.B) { bench(b, mkResize()) })
-	// What WithAdaptiveShards users actually pay: the epoch/gate tax
-	// PLUS the decision layer's striped tick counter and periodic
-	// signal sampling. Bounds pinned to 4 so no migration can start and
-	// the number isolates the steady-state sampling cost.
-	b.Run("resize-decider", func(b *testing.B) {
-		s, err := resize.NewSet(4,
-			func(k int) (*sharded.Trie, error) { return sharded.New(u, k) },
-			resize.Config{MinShards: 4, MaxShards: 4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		bench(b, s)
-	})
-	b.Run("resize-migrating", func(b *testing.B) {
-		s := mkResize()
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for {
-				for _, k := range []int{8, 2, 4} {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					if err := s.Resize(k); err != nil {
-						b.Errorf("Resize(%d): %v", k, err)
-						return
-					}
-				}
-			}
-		}()
-		bench(b, s)
-		close(stop)
-		<-done
-	})
 }
 
 func BenchmarkApplyBatch(b *testing.B) {

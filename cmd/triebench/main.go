@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -34,7 +33,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/locktrie"
 	"repro/internal/relaxed"
-	"repro/internal/resize"
 	"repro/internal/sharded"
 	"repro/internal/skiplist"
 	"repro/internal/versioned"
@@ -43,7 +41,7 @@ import (
 
 func main() {
 	var (
-		experiment    = flag.String("experiment", "all", "experiment id: c1,c2,c3,c4,c5,c6,c7,a1,a2,a3,s1,cb1,ad1,rs1,cc1,mp1,ob1,sv1,wl1, or all (the paper-claim sweeps c1–a2; s1, a3, cb1, ad1, rs1, cc1, mp1, ob1, sv1 and wl1 run only when named, since they rewrite their recorded trajectory artifacts; the combining experiment is cb1 because c1 is the paper's C1 Search-cost claim)")
+		experiment    = flag.String("experiment", "all", "experiment id: c1,c2,c3,c4,c5,c6,c7,a1,a2,a3,s1,cb1,ad1,cc1,mp1,ob1,sv1,wl1, or all (the paper-claim sweeps c1–a2; s1, a3, cb1, ad1, cc1, mp1, ob1, sv1 and wl1 run only when named, since they rewrite their recorded trajectory artifacts; the combining experiment is cb1 because c1 is the paper's C1 Search-cost claim)")
 		ops           = flag.Int("ops", 100000, "operations per measurement")
 		workers       = flag.Int("workers", 4, "default worker count")
 		seed          = flag.Int64("seed", 1, "workload seed")
@@ -55,8 +53,6 @@ func main() {
 		combineReps   = flag.Int("cb1reps", cb1Reps, "cb1 repetitions per configuration (median reported; CI smoke uses 1)")
 		adaptivePath  = flag.String("adaptivejson", "BENCH_adaptive.json", "ad1 trajectory output path (empty disables)")
 		adaptiveReps  = flag.Int("ad1reps", ad1Reps, "ad1 repetitions per configuration (median reported; CI smoke uses 1)")
-		resizePath    = flag.String("resizejson", "BENCH_resize.json", "rs1 trajectory output path (empty disables)")
-		resizeReps    = flag.Int("rs1reps", rs1Reps, "rs1 repetitions per configuration (median reported; CI smoke uses 1)")
 		cachePath     = flag.String("cachejson", "BENCH_cache.json", "cc1 trajectory output path (empty disables)")
 		cacheReps     = flag.Int("cc1reps", cc1Reps, "cc1 repetitions per configuration (median reported; CI smoke uses 1)")
 		multicorePath = flag.String("multicorejson", "BENCH_multicore.json", "mp1 trajectory output path (empty disables)")
@@ -76,7 +72,6 @@ func main() {
 		jsonPath:   *jsonPath, allocsPath: *allocsPath,
 		combinePath: *combinePath, combineReps: *combineReps,
 		adaptivePath: *adaptivePath, adaptiveReps: *adaptiveReps,
-		resizePath: *resizePath, resizeReps: *resizeReps,
 		cachePath: *cachePath, cacheReps: *cacheReps,
 		multicorePath: *multicorePath, multicoreReps: *multicoreReps,
 		obsPath: *obsPath, obsReps: *obsReps,
@@ -108,8 +103,6 @@ type invocation struct {
 	combineReps   int
 	adaptivePath  string
 	adaptiveReps  int
-	resizePath    string
-	resizeReps    int
 	cachePath     string
 	cacheReps     int
 	multicorePath string
@@ -213,7 +206,7 @@ func perP(procs []int, f func(p int) error) error {
 // nothing).
 func experimentIDs() []string {
 	return []string{"c1", "c2", "c3", "c4", "c5", "c6", "c7",
-		"a1", "a2", "a3", "s1", "cb1", "ad1", "rs1", "cc1", "mp1", "ob1", "sv1", "wl1", "all"}
+		"a1", "a2", "a3", "s1", "cb1", "ad1", "cc1", "mp1", "ob1", "sv1", "wl1", "all"}
 }
 
 // runnersFor binds the experiment table to this invocation's artifact
@@ -231,7 +224,6 @@ func runnersFor(inv invocation) map[string]func() error {
 		"a3":  func() error { return expA3(inv) },
 		"cb1": func() error { return expCB1(inv) },
 		"ad1": func() error { return expAD1(inv) },
-		"rs1": func() error { return expRS1(inv) },
 		"cc1": func() error { return expCC1(inv) },
 		"mp1": func() error { return expMP1(inv) },
 		"ob1": func() error { return expOB1(inv) },
@@ -246,12 +238,12 @@ func run(experiment string, inv invocation) error {
 		return err
 	}
 	runners := runnersFor(inv)
-	// "all" covers the paper-claim sweeps; s1, a3, cb1, ad1, rs1, cc1, mp1,
+	// "all" covers the paper-claim sweeps; s1, a3, cb1, ad1, cc1, mp1,
 	// ob1 and sv1 are opt-in because they overwrite the recorded
 	// BENCH_shards.json / BENCH_allocs.json / BENCH_combine.json /
-	// BENCH_adaptive.json / BENCH_resize.json / BENCH_cache.json /
-	// BENCH_multicore.json / BENCH_obs.json / BENCH_sv1.json trajectory
-	// points (and s1/cb1/ad1/rs1/cc1/mp1/ob1/sv1 enforce their own
+	// BENCH_adaptive.json / BENCH_cache.json / BENCH_multicore.json /
+	// BENCH_obs.json / BENCH_sv1.json trajectory points (and
+	// s1/cb1/ad1/cc1/mp1/ob1/sv1 enforce their own
 	// ops/workers floors — minutes, not seconds).
 	if experiment == "all" {
 		for _, id := range []string{"c1", "c2", "c3", "c4", "c5", "c6", "c7", "a1", "a2"} {
@@ -1604,283 +1596,6 @@ func expAD1(inv invocation) error {
 	report.Workloads = report.Points[0].Workloads
 	report.GateThinVsUncombined = report.Points[0].GateThinVsUncombined
 	report.GateClusteredVsCombinedMin = report.Points[0].GateClusteredVsCombinedMin
-	if jsonPath == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n\n", jsonPath)
-	return nil
-}
-
-// --- RS1: online shard resize tracks the workload's best fixed k ---------------
-
-// rs1Reps is the default repetition count (-rs1reps overrides); the
-// median of per-repetition ratios is reported, rotated per repetition,
-// for the same host-load-drift reasons as AD1.
-const rs1Reps = 5
-
-// rs1FixedKs is the fixed-k competitor ladder; the adaptive variant may
-// roam the same range.
-var rs1FixedKs = []int{1, 4, 16}
-
-// rs1Side is one variant of an RS1 repetition: two workload phases —
-// skewed (hot shard) then uniform — run back-to-back on one structure.
-type rs1Side struct {
-	OpsPerSec        float64 `json:"ops_per_sec"`
-	SkewedOpsPerSec  float64 `json:"skewed_ops_per_sec"`
-	UniformOpsPerSec float64 `json:"uniform_ops_per_sec"`
-	// Resize trajectory (adaptive variant only; zeros for fixed k).
-	// Always serialized so a zero reads as "no transitions".
-	Grows       int64 `json:"grows"`
-	Shrinks     int64 `json:"shrinks"`
-	FinalShards int   `json:"final_shards"`
-}
-
-// rs1ProcPoint is one GOMAXPROCS setting's full ladder, gate included:
-// online resizing must stay competitive with the best fixed k at every
-// P (migrations pause differently when shard drains genuinely overlap).
-type rs1ProcPoint struct {
-	hostTopology
-	Fixed    map[string]rs1Side `json:"fixed"`
-	Adaptive rs1Side            `json:"adaptive"`
-	// GateVsFixed records, per fixed k, the median over repetitions of
-	// the per-repetition ratio adaptive / fixed-k — both sides measured
-	// back-to-back inside the same repetition (rotated order), so host
-	// drift between repetitions cancels out of every ratio.
-	GateVsFixed map[string]float64 `json:"gate_vs_fixed"`
-	// GateAdaptiveVsBestFixed is min over k of GateVsFixed: the adaptive
-	// variant against whichever fixed k its medians say is hardest to
-	// beat. PR 7's gate took max-over-k INSIDE each repetition before the
-	// median, which let per-rep noise pick the luckiest denominator and
-	// biased the gate low (the recorded 0.914 "failure" reproduced on the
-	// pre-PR binary at 0.86–0.91 — host drift amplified by the max, not a
-	// regression). Judging each k by its own median ratio keeps the gate
-	// self-controlled the way ad1 is.
-	GateAdaptiveVsBestFixed float64 `json:"gate_adaptive_vs_best_fixed"`
-}
-
-// rs1Report is the BENCH_resize.json trajectory point. Top-level
-// GoMaxProcs/NumCPU/Fixed/Adaptive/gate are the first swept P's values —
-// the compatibility row — while Points carries the full -gomaxprocs
-// sweep.
-type rs1Report struct {
-	Experiment string             `json:"experiment"`
-	Timestamp  string             `json:"timestamp"`
-	GoMaxProcs int                `json:"gomaxprocs"`
-	NumCPU     int                `json:"num_cpu"`
-	Universe   int64              `json:"universe"`
-	Goroutines int                `json:"goroutines"`
-	Ops        int                `json:"ops"`
-	Reps       int                `json:"reps_median_of"`
-	MinShards  int                `json:"min_shards"`
-	MaxShards  int                `json:"max_shards"`
-	Fixed      map[string]rs1Side `json:"fixed"`
-	Adaptive   rs1Side            `json:"adaptive"`
-	Points     []rs1ProcPoint     `json:"proc_points"`
-	// GateVsFixed / GateAdaptiveVsBestFixed mirror the compat proc
-	// point's fields (see rs1ProcPoint): per-k medians of per-rep
-	// back-to-back ratios, and their min. The acceptance gate tracks
-	// ≥ 0.95 (online resizing must not cost more than it earns against
-	// the best construction-time bet on a workload whose best k CHANGES
-	// mid-run).
-	GateVsFixed             map[string]float64 `json:"gate_vs_fixed"`
-	GateAdaptiveVsBestFixed float64            `json:"gate_adaptive_vs_best_fixed"`
-}
-
-// expRS1: the adaptive shard count against every fixed k on a workload
-// whose contention profile flips mid-run: a skewed phase (90% of
-// updates in one 1/16th of the universe — one hot shard at k=16, where
-// PR 1 measured sharding earning nothing) followed by a uniform phase
-// (where k=16 measured 2–3× k=1). No fixed k is right for both phases;
-// the resize decision layer must carry the partition toward the
-// contention, paying for its migrations out of the winnings. Per-point
-// transition counts make the trajectory auditable. The whole ladder
-// repeats per -gomaxprocs setting. Writes the BENCH_resize.json
-// trajectory point unless -resizejson is empty.
-func expRS1(inv invocation) error {
-	ops, workers, seed := inv.ops, inv.workers, inv.seed
-	reps, jsonPath := inv.resizeReps, inv.resizePath
-	procs, err := inv.procs()
-	if err != nil {
-		return err
-	}
-	const (
-		u         = int64(1 << 16)
-		minShards = 1
-		maxShards = 16
-		// The adaptive variant starts at the geometric middle of its
-		// band — the sensible default when the workload is unknown —
-		// and must adapt from there; a decision layer that only ever
-		// grows from min would get the skewed phase for free.
-		midShards = 4
-	)
-	if workers < 16 {
-		fmt.Printf("rs1: raising -workers to 16 (the gate is defined at 16 goroutines)\n")
-		workers = 16
-	}
-	if reps < 1 {
-		reps = 1
-	}
-	if reps > 1 && ops < 1600000 {
-		fmt.Printf("rs1: raising -ops to 1600000 (a migration costs ~0.5–1s wall on this host; the transient must be amortizable, not the whole run)\n")
-		ops = 1600000
-	} else if reps == 1 && ops < 1600000 {
-		fmt.Printf("rs1: one-rep run at %d ops — smoke only, NOT comparable to the recorded gate-grade artifact\n", ops)
-	}
-	fmt.Printf("== RS1: adaptive shard count vs fixed k, skewed-then-uniform (ops/s, %d goroutines) ==\n", workers)
-	report := rs1Report{
-		Experiment: "rs1-resize",
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Universe:   u,
-		Goroutines: workers,
-		Ops:        ops,
-		Reps:       reps,
-		MinShards:  minShards,
-		MaxShards:  maxShards,
-	}
-	skewed := workload.HotRange{U: u, HotLo: u / 2, HotWidth: u / 16, HotPct: 90}
-	// One measurement: fresh structure, half-full prefill, then the two
-	// phases timed back-to-back on the SAME structure (half the op
-	// budget each), so the adaptive variant's migrations triggered by
-	// phase 1 are paid for — or amortized — inside the measurement.
-	measure := func(s harness.Set, isAdaptive *resize.Set) (rs1Side, error) {
-		for key := int64(0); key < u; key += 2 {
-			s.Insert(key)
-		}
-		var side rs1Side
-		var elapsed time.Duration
-		for phase, dist := range []workload.KeyDist{skewed, workload.Uniform{U: u}} {
-			res, err := harness.Run(s, harness.Config{
-				Workers:      workers,
-				OpsPerWorker: ops / 2 / workers,
-				Mix:          workload.MixUpdateOnly,
-				Dist:         dist,
-				Seed:         seed + int64(phase),
-			})
-			if err != nil {
-				return rs1Side{}, err
-			}
-			elapsed += res.Elapsed
-			if phase == 0 {
-				side.SkewedOpsPerSec = res.Throughput
-			} else {
-				side.UniformOpsPerSec = res.Throughput
-			}
-		}
-		side.OpsPerSec = float64(ops/2/workers*workers*2) / elapsed.Seconds()
-		if isAdaptive != nil {
-			st := isAdaptive.Stats()
-			side.Grows, side.Shrinks, side.FinalShards = st.Grows, st.Shrinks, st.Shards
-		}
-		return side, nil
-	}
-	variants := append([]int{}, rs1FixedKs...)
-	const adaptiveVariant = -1
-	variants = append(variants, adaptiveVariant)
-	if err := perP(procs, func(p int) error {
-		pt := rs1ProcPoint{hostTopology: topologyAt(p), Fixed: map[string]rs1Side{}, GateVsFixed: map[string]float64{}}
-		samples := map[int][]rs1Side{}
-		ratios := map[int][]float64{}
-		for rep := 0; rep < reps; rep++ {
-			repSides := map[int]rs1Side{}
-			for j := range variants {
-				// Rotate the run order per repetition so monotone host-load
-				// drift cannot systematically penalize one variant (the AD1
-				// lesson).
-				v := variants[(rep+j)%len(variants)]
-				var side rs1Side
-				var err error
-				if v == adaptiveVariant {
-					var s *resize.Set
-					s, err = resize.NewSet(midShards,
-						func(k int) (*sharded.Trie, error) { return sharded.New(u, k) },
-						resize.Config{MinShards: minShards, MaxShards: maxShards})
-					if err == nil {
-						side, err = measure(s, s)
-					}
-				} else {
-					var s *sharded.Trie
-					s, err = sharded.New(u, v)
-					if err == nil {
-						side, err = measure(s, nil)
-						side.FinalShards = v // fixed by construction
-					}
-				}
-				if err != nil {
-					return err
-				}
-				repSides[v] = side
-				samples[v] = append(samples[v], side)
-			}
-			// One ratio per fixed k per repetition — adaptive and fixed-k
-			// ran back-to-back in this same repetition, so the ratio is a
-			// drift-free paired sample. The per-rep max-over-k this used
-			// to take is exactly what made the gate drift-sensitive.
-			for _, k := range rs1FixedKs {
-				if t := repSides[k].OpsPerSec; t > 0 {
-					ratios[k] = append(ratios[k], repSides[adaptiveVariant].OpsPerSec/t)
-				}
-			}
-		}
-		medianSide := func(sides []rs1Side) rs1Side {
-			var tot, sk, un, gr, sh, fs []float64
-			for _, s := range sides {
-				tot = append(tot, s.OpsPerSec)
-				sk = append(sk, s.SkewedOpsPerSec)
-				un = append(un, s.UniformOpsPerSec)
-				gr = append(gr, float64(s.Grows))
-				sh = append(sh, float64(s.Shrinks))
-				fs = append(fs, float64(s.FinalShards))
-			}
-			return rs1Side{
-				OpsPerSec: median(tot), SkewedOpsPerSec: median(sk), UniformOpsPerSec: median(un),
-				Grows: int64(median(gr)), Shrinks: int64(median(sh)), FinalShards: int(median(fs)),
-			}
-		}
-		tab := harness.NewTable("variant", "total ops/s", "skewed ops/s", "uniform ops/s", "grows", "shrinks", "final k")
-		for _, k := range rs1FixedKs {
-			side := medianSide(samples[k])
-			pt.Fixed[fmt.Sprintf("k=%d", k)] = side
-			tab.AddRow(fmt.Sprintf("fixed k=%d", k), side.OpsPerSec, side.SkewedOpsPerSec, side.UniformOpsPerSec,
-				side.Grows, side.Shrinks, k)
-		}
-		ad := medianSide(samples[adaptiveVariant])
-		pt.Adaptive = ad
-		pt.GateAdaptiveVsBestFixed = math.Inf(1)
-		for _, k := range rs1FixedKs {
-			r := median(ratios[k])
-			pt.GateVsFixed[fmt.Sprintf("k=%d", k)] = r
-			if r < pt.GateAdaptiveVsBestFixed {
-				pt.GateAdaptiveVsBestFixed = r
-			}
-		}
-		if math.IsInf(pt.GateAdaptiveVsBestFixed, 1) {
-			pt.GateAdaptiveVsBestFixed = 0
-		}
-		tab.AddRow(fmt.Sprintf("adaptive [%d,%d]", minShards, maxShards), ad.OpsPerSec,
-			ad.SkewedOpsPerSec, ad.UniformOpsPerSec, ad.Grows, ad.Shrinks, ad.FinalShards)
-		fmt.Println(tab)
-		for _, k := range rs1FixedKs {
-			fmt.Printf("adaptive vs fixed k=%d (median of per-rep ratios): %.3f\n", k, pt.GateVsFixed[fmt.Sprintf("k=%d", k)])
-		}
-		fmt.Printf("adaptive vs best fixed (min over k of medians): %.3f\n", pt.GateAdaptiveVsBestFixed)
-		report.Points = append(report.Points, pt)
-		return nil
-	}); err != nil {
-		return err
-	}
-	report.GoMaxProcs = report.Points[0].GoMaxProcs
-	report.NumCPU = report.Points[0].NumCPU
-	report.Fixed = report.Points[0].Fixed
-	report.Adaptive = report.Points[0].Adaptive
-	report.GateVsFixed = report.Points[0].GateVsFixed
-	report.GateAdaptiveVsBestFixed = report.Points[0].GateAdaptiveVsBestFixed
 	if jsonPath == "" {
 		return nil
 	}

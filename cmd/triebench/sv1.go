@@ -20,7 +20,7 @@ import (
 
 // sv1Reps is the default repetition count (-sv1reps overrides); the
 // median of per-repetition ratios is reported, run order rotated per
-// repetition, for the same host-load-drift reasons as ad1/rs1.
+// repetition, for the same host-load-drift reasons as ad1.
 const sv1Reps = 3
 
 // sv1 fixed shape: enough connections to keep the batcher fed, the

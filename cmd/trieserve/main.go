@@ -19,8 +19,7 @@
 // requests complete and flush, then the process exits; a second signal
 // (or -draintimeout) force-closes.
 //
-// Options mirror the facade: -shards fixes the shard count,
-// -adaptmin/-adaptmax enable online resizing over that band, -combining
+// Options mirror the facade: -shards fixes the shard count, -combining
 // enables flat combining inside each shard. -perop disables request
 // coalescing (the sv1 baseline).
 //
@@ -56,8 +55,6 @@ func main() {
 		u       = flag.Int64("u", 1<<20, "key universe size")
 
 		shards    = flag.Int("shards", 0, "fixed shard count (0 = unsharded)")
-		adaptMin  = flag.Int("adaptmin", 0, "min shards for online resizing (0 disables; use with -adaptmax)")
-		adaptMax  = flag.Int("adaptmax", 0, "max shards for online resizing")
 		combining = flag.Bool("combining", false, "enable flat combining inside shards")
 
 		perop        = flag.Bool("perop", false, "apply each update per-op instead of coalescing into ApplyBatch sweeps")
@@ -75,7 +72,7 @@ func main() {
 	flag.Parse()
 	dur := durFlags{dir: *data, fsync: *fsync, fsyncInt: *fsyncInt,
 		shards: *walsh, segBytes: *segbytes, snapBytes: *snpbytes}
-	if err := run(*addr, *metrics, *u, *shards, *adaptMin, *adaptMax, *combining, !*perop, *window, *maxbatch, *drainTimeout, dur); err != nil {
+	if err := run(*addr, *metrics, *u, *shards, *combining, !*perop, *window, *maxbatch, *drainTimeout, dur); err != nil {
 		fmt.Fprintln(os.Stderr, "trieserve:", err)
 		os.Exit(1)
 	}
@@ -117,13 +114,10 @@ func (d durFlags) option() (lockfreetrie.Option, error) {
 	return lockfreetrie.WithDurability(d.dir, opts...), nil
 }
 
-func run(addr, metrics string, u int64, shards, adaptMin, adaptMax int, combining, coalesce bool, window, maxbatch int, drainTimeout time.Duration, dur durFlags) error {
+func run(addr, metrics string, u int64, shards int, combining, coalesce bool, window, maxbatch int, drainTimeout time.Duration, dur durFlags) error {
 	var opts []lockfreetrie.Option
 	if shards > 0 {
 		opts = append(opts, lockfreetrie.WithShards(shards))
-	}
-	if adaptMin > 0 {
-		opts = append(opts, lockfreetrie.WithAdaptiveShards(adaptMin, adaptMax))
 	}
 	if combining {
 		opts = append(opts, lockfreetrie.WithCombining())

@@ -1,9 +1,8 @@
 // Durability: the WithDurability option and the write-ahead wrapper it
 // installs around the assembled backend. The trie stays a pure
 // in-memory structure — durability is one decoration layer at the
-// facade seam, so it covers every construction path (k=1, sharded,
-// adaptive-resize) identically, the way observability attaches in
-// obs.go.
+// facade seam, so it covers every construction path (k=1 and sharded)
+// identically, the way observability attaches in obs.go.
 package lockfreetrie
 
 import (
@@ -179,7 +178,7 @@ func (t *Trie) attachDurability(dc *durConfig) error {
 	}
 	// Seed through the batch entrypoint in bounded ascending chunks —
 	// the recovery walk emits globally ascending unique keys, which is
-	// exactly the sharded/resize ApplyBatch contract. The backend is
+	// exactly the sharded ApplyBatch contract. The backend is
 	// unwrapped here, so seeding is not re-logged.
 	const chunk = 1024
 	buf := make([]core.BatchOp, 0, chunk)

@@ -21,7 +21,8 @@ func openDurable(t *testing.T, dir string, opts ...lockfreetrie.Option) *lockfre
 }
 
 // TestDurableRecovery: updates through every entrypoint survive a
-// close/reopen cycle, across all three construction paths.
+// close/reopen cycle, across three backend shapes: unsharded, sharded,
+// and sharded with combine-wrapped shards.
 func TestDurableRecovery(t *testing.T) {
 	paths := []struct {
 		name string
@@ -29,7 +30,7 @@ func TestDurableRecovery(t *testing.T) {
 	}{
 		{"k1", nil},
 		{"sharded", []lockfreetrie.Option{lockfreetrie.WithShards(4)}},
-		{"resize", []lockfreetrie.Option{lockfreetrie.WithAdaptiveShards(1, 4)}},
+		{"combining", []lockfreetrie.Option{lockfreetrie.WithShards(4), lockfreetrie.WithCombining()}},
 	}
 	for _, p := range paths {
 		t.Run(p.name, func(t *testing.T) {

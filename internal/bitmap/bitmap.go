@@ -1,14 +1,13 @@
-// Package bitmap provides the shared atomic summary-word helpers used by
-// the cache-compressed trie descents (internal/bitstrie) and the bitmap
-// resize journal (internal/resize): fixed-width arrays of uint64 words
-// where bit j of word w stands for element 64w+j, maintained with single
-// atomic OR / AND-NOT instructions and queried with popcount and bit-scan.
+// Package bitmap provides the atomic summary-word helpers behind the
+// cache-compressed trie descents (internal/bitstrie): fixed-width arrays
+// of uint64 words where bit j of word w stands for element 64w+j,
+// maintained with single atomic OR instructions and queried with popcount
+// and bit-scan.
 //
-// The two call sites use the words under different protocols — bitstrie
-// keeps its summaries monotone (OR only, never cleared), resize clears
-// generations from a single coordinator — so the package itself is
-// protocol-free: it only guarantees that each helper is one atomic RMW or
-// one atomic load.
+// The summaries are monotone: bits are only ever set (OR), never cleared.
+// A clear bit is therefore a certificate that nothing it covers was ever
+// published, while a set bit is only advisory and readers re-validate it
+// against the trie itself. The package has no clearing operation.
 package bitmap
 
 import (
@@ -48,37 +47,8 @@ func (w Words) Set(i int64) {
 	}
 }
 
-// SetMask ORs mask into word wi (one atomic OR), skipping the RMW when all
-// bits of mask are already visible.
-func (w Words) SetMask(wi int64, mask uint64) {
-	if w[wi].Load()&mask != mask {
-		w[wi].Or(mask)
-	}
-}
-
-// Clear clears bit i with one atomic AND-NOT. Callers must ensure their
-// protocol tolerates clearing (single writer, or frozen readers); the
-// monotone bitstrie summaries never call it.
-func (w Words) Clear(i int64) {
-	wi, bit := WordIndex(i)
-	w[wi].And(^(uint64(1) << bit))
-}
-
-// Test reports bit i under one atomic load.
-func (w Words) Test(i int64) bool {
-	wi, bit := WordIndex(i)
-	return w[wi].Load()&(uint64(1)<<bit) != 0
-}
-
 // Load returns word wi.
 func (w Words) Load(wi int64) uint64 { return w[wi].Load() }
-
-// Reset zeroes every word with plain atomic stores. Single-writer only.
-func (w Words) Reset() {
-	for i := range w {
-		w[i].Store(0)
-	}
-}
 
 // PopCount returns the total number of set bits.
 func (w Words) PopCount() int64 {
@@ -105,19 +75,6 @@ func (w Words) AllOnes(n int64) bool {
 		}
 	}
 	return true
-}
-
-// ForEachSet calls fn for every set bit, in ascending element order. Each
-// word is loaded once; bits set after its load are not reported.
-func (w Words) ForEachSet(fn func(i int64)) {
-	for wi := range w {
-		word := w[wi].Load()
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			fn(int64(wi)*WordBits + int64(b))
-			word &= word - 1
-		}
-	}
 }
 
 // --- single-word scan helpers (no atomics; operate on loaded words) ---------

@@ -448,7 +448,7 @@ func (c *Combiner) runRound() {
 	// Elections happen once per round — far too hot to trace unsampled
 	// (a clustered mix runs a round every ~7 ops), so one round in
 	// ElectEventEvery carries the trace, with the batch size as its
-	// signal value. Retractions and the adaptive/resize events stay
+	// signal value. Retractions and the adaptive events stay
 	// unsampled; they are rare and individually meaningful.
 	if c.events != nil && rounds%obs.ElectEventEvery == 0 {
 		c.events.Publish(obs.KindCombinerElect, c.evShard, int64(len(c.taken)), rounds)

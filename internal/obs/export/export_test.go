@@ -12,7 +12,7 @@ import (
 func testSnapshot() obs.Snapshot {
 	r := obs.NewRegistry()
 	r.Counter("ops.search").Add(1, 42)
-	r.Gauge("resize.shards", func() int64 { return 4 })
+	r.Gauge("trie.shards", func() int64 { return 4 })
 	h := r.Histogram("latency.predecessor_ns")
 	h.Record(100)
 	h.Record(100)
@@ -35,8 +35,8 @@ func TestExpvarHandlerShape(t *testing.T) {
 	if string(flat["ops.search"]) != "42" {
 		t.Fatalf("ops.search = %s, want 42", flat["ops.search"])
 	}
-	if string(flat["resize.shards"]) != "4" {
-		t.Fatalf("resize.shards = %s, want 4", flat["resize.shards"])
+	if string(flat["trie.shards"]) != "4" {
+		t.Fatalf("trie.shards = %s, want 4", flat["trie.shards"])
 	}
 	var h obs.HistSnapshot
 	if err := json.Unmarshal(flat["latency.predecessor_ns"], &h); err != nil || h.Count != 3 {
@@ -76,7 +76,7 @@ func TestPrometheusFormat(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE repro_ops_search counter\nrepro_ops_search 42\n",
-		"repro_resize_shards 4\n",
+		"repro_trie_shards 4\n",
 		"# TYPE repro_latency_predecessor_ns histogram\n",
 		`repro_latency_predecessor_ns_bucket{le="+Inf"} 3`,
 		"repro_latency_predecessor_ns_sum 5200\n",

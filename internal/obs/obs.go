@@ -2,9 +2,8 @@
 // metrics registry (striped padded counters, gauges over the existing
 // per-subsystem Stats structs, log-bucketed latency histograms) behind
 // one named, versioned Snapshot/Delta schema, plus a bounded lock-free
-// event ring tracing the control planes (adaptive combining flips, shard
-// resizes with per-stage durations, EBR epoch advances, combiner
-// elections and retractions, seal assists).
+// event ring tracing the control planes (adaptive combining flips, EBR
+// epoch advances, combiner elections and retractions).
 //
 // Design constraints, in order:
 //
@@ -40,8 +39,8 @@ const (
 )
 
 // counterStripes is the number of padded stripes per counter. Sixteen
-// mirrors resize.tickStripes: it keeps a hammered counter off one shared
-// cache line while bounding each counter at one KiB.
+// keeps a hammered counter off one shared cache line while bounding each
+// counter at one KiB.
 const counterStripes = 16
 
 // Counter is a monotone counter striped over padded cache lines. Add and
@@ -53,8 +52,7 @@ type Counter struct {
 	stripes [counterStripes]atomicx.PadInt64
 }
 
-// stripeOf hashes a hint to a stripe index (Fibonacci hashing, as in
-// resize.tick).
+// stripeOf hashes a hint to a stripe index (Fibonacci hashing).
 func stripeOf(hint int64) uint64 {
 	return (uint64(hint) * 0x9E3779B97F4A7C15) >> 60
 }

@@ -58,7 +58,7 @@ func TestSnapshotAndDelta(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("ops.add")
 	g := int64(3)
-	r.Gauge("resize.shards", func() int64 { return g })
+	r.Gauge("trie.len", func() int64 { return g })
 	h := r.Histogram("lat.add")
 
 	c.Add(1, 10)
@@ -67,7 +67,7 @@ func TestSnapshotAndDelta(t *testing.T) {
 	if s1.Schema != SchemaName || s1.Version != SchemaVersion {
 		t.Fatalf("snapshot schema %q/%d, want %q/%d", s1.Schema, s1.Version, SchemaName, SchemaVersion)
 	}
-	if s1.Counters["ops.add"] != 10 || s1.Counters["resize.shards"] != 3 {
+	if s1.Counters["ops.add"] != 10 || s1.Counters["trie.len"] != 3 {
 		t.Fatalf("snapshot counters = %v", s1.Counters)
 	}
 	if s1.Hists["lat.add"].Count != 1 {
@@ -82,8 +82,8 @@ func TestSnapshotAndDelta(t *testing.T) {
 	if d.Counters["ops.add"] != 5 {
 		t.Fatalf("delta ops.add = %d, want 5", d.Counters["ops.add"])
 	}
-	if d.Counters["resize.shards"] != 3 {
-		t.Fatalf("delta gauge = %d, want 3 (6−3)", d.Counters["resize.shards"])
+	if d.Counters["trie.len"] != 3 {
+		t.Fatalf("delta gauge = %d, want 3 (6−3)", d.Counters["trie.len"])
 	}
 	if d.Hists["lat.add"].Count != 1 || d.Hists["lat.add"].Sum != 200 {
 		t.Fatalf("delta histogram = %+v", d.Hists["lat.add"])

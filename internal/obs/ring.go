@@ -22,13 +22,6 @@ const (
 	// ×1000, [1] retraction rate ×1000 over the deciding window, [2]
 	// rounds in the window, [3] retractions in the window.
 	KindAdaptiveDisable
-	// KindResizeGrow / KindResizeShrink: one completed migration.
-	// Args: [0] from-shards, [1] to-shards, then per-stage durations in
-	// nanoseconds: [2] journal (install + pre-journal drain), [3] bulk
-	// copy, [4] catch-up generations, [5] seal (install + last-generation
-	// drain), [6] shared replay, [7] flip (activation install).
-	KindResizeGrow
-	KindResizeShrink
 	// KindEpochAdvance: an EBR domain's global epoch moved. Args: [0]
 	// the new epoch.
 	KindEpochAdvance
@@ -40,9 +33,6 @@ const (
 	// KindCombinerRetract: a submission outwaited a busy combiner and
 	// escaped to the direct path. Args: [0] wait beats before retracting.
 	KindCombinerRetract
-	// KindSealAssist: an update parked in a sealed resize window claimed
-	// replay work instead of spinning. Args: [0] keys it replayed.
-	KindSealAssist
 )
 
 // String implements fmt.Stringer.
@@ -52,18 +42,12 @@ func (k Kind) String() string {
 		return "adaptive-enable"
 	case KindAdaptiveDisable:
 		return "adaptive-disable"
-	case KindResizeGrow:
-		return "resize-grow"
-	case KindResizeShrink:
-		return "resize-shrink"
 	case KindEpochAdvance:
 		return "epoch-advance"
 	case KindCombinerElect:
 		return "combiner-elect"
 	case KindCombinerRetract:
 		return "combiner-retract"
-	case KindSealAssist:
-		return "seal-assist"
 	default:
 		return "unknown"
 	}
@@ -76,8 +60,9 @@ func (k Kind) String() string {
 // the rare events that matter and put a publish on a near-hot path.
 const ElectEventEvery = 64
 
-// EventArgs is the per-event payload arity.
-const EventArgs = 8
+// EventArgs is the per-event payload arity (the widest kind, an adaptive
+// flip, carries four).
+const EventArgs = 4
 
 // Event is one drained control-plane event.
 type Event struct {
@@ -85,8 +70,7 @@ type Event struct {
 	Seq uint64 `json:"seq"`
 	// Kind discriminates the Args layout.
 	Kind Kind `json:"kind"`
-	// Shard is the shard the event concerns, or −1 for whole-trie events
-	// (resize migrations, the k=1 paths).
+	// Shard is the shard the event concerns (0 on the k=1 paths).
 	Shard int32 `json:"shard"`
 	// UnixNanos is the publication wall-clock time.
 	UnixNanos int64            `json:"unix_nanos"`
@@ -127,7 +111,7 @@ type Ring struct {
 }
 
 // DefaultRingSize is the slot count NewRing uses for n ≤ 0: large enough
-// that sampled elections do not lap a resize event between two drains of
+// that sampled elections do not lap an adaptive flip between two drains of
 // a 1 Hz monitor at realistic round rates, small enough (~100 KiB) to be
 // always-on.
 const DefaultRingSize = 1024

@@ -10,7 +10,7 @@ import (
 func TestRingPublishDrain(t *testing.T) {
 	r := NewRing(8)
 	r.Publish(KindEpochAdvance, 3, 7)
-	r.Publish(KindResizeGrow, -1, 1, 2, 10, 20, 30, 40, 50, 60)
+	r.Publish(KindAdaptiveEnable, 1, 1, 2, 10, 20)
 	evs := r.Drain()
 	if len(evs) != 2 {
 		t.Fatalf("Drain returned %d events, want 2", len(evs))
@@ -18,10 +18,10 @@ func TestRingPublishDrain(t *testing.T) {
 	if evs[0].Kind != KindEpochAdvance || evs[0].Shard != 3 || evs[0].Args[0] != 7 {
 		t.Fatalf("event 0 = %+v", evs[0])
 	}
-	if evs[1].Kind != KindResizeGrow || evs[1].Shard != -1 {
+	if evs[1].Kind != KindAdaptiveEnable || evs[1].Shard != 1 {
 		t.Fatalf("event 1 = %+v", evs[1])
 	}
-	want := [EventArgs]int64{1, 2, 10, 20, 30, 40, 50, 60}
+	want := [EventArgs]int64{1, 2, 10, 20}
 	if evs[1].Args != want {
 		t.Fatalf("event 1 args = %v, want %v", evs[1].Args, want)
 	}
@@ -61,7 +61,7 @@ func TestRingOverwrite(t *testing.T) {
 // method is a no-op, not a panic.
 func TestRingNilSafe(t *testing.T) {
 	var r *Ring
-	r.Publish(KindSealAssist, 0, 1)
+	r.Publish(KindCombinerRetract, 0, 1)
 	if r.Drain() != nil || r.Dropped() != 0 || r.Cap() != 0 {
 		t.Fatal("nil ring methods must return zero values")
 	}
@@ -145,7 +145,7 @@ func TestRingQuiescentDrainLosesNothing(t *testing.T) {
 		go func(id int64) {
 			defer wg.Done()
 			for i := int64(0); i < 3; i++ {
-				r.Publish(KindSealAssist, int32(id), i)
+				r.Publish(KindCombinerRetract, int32(id), i)
 			}
 		}(int64(w))
 	}

@@ -151,10 +151,6 @@ func (t *Relaxed) Shards() int { return t.k }
 // Shard exposes shard i's relaxed trie (facade configuration, tests).
 func (t *Relaxed) Shard(i int) *relaxed.Trie { return t.shards[i].trie }
 
-// Occupancy returns shard i's cardinality over-approximation; exact at
-// quiescence.
-func (t *Relaxed) Occupancy(i int) int64 { return t.shards[i].count.Load() }
-
 // Len returns the summed occupancy summary — an O(k) cardinality estimate,
 // exact at quiescence.
 func (t *Relaxed) Len() int64 {

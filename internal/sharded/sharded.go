@@ -285,10 +285,6 @@ func (t *Trie) ShardWidth() int64 { return t.width }
 // Shard returns the core trie backing shard i (tests, stats, trieviz).
 func (t *Trie) Shard(i int) *core.Trie { return t.shards[i].trie }
 
-// Occupancy returns shard i's cardinality over-approximation; exact at
-// quiescence.
-func (t *Trie) Occupancy(i int) int64 { return t.shards[i].count.Load() }
-
 // Len returns the summed occupancy summary — an O(k) cardinality estimate,
 // exact at quiescence.
 func (t *Trie) Len() int64 {
@@ -697,20 +693,4 @@ func (t *Trie) succFallback(j int, ly int64) int64 {
 		// degrades to the documented weak answer.
 	}
 	return best
-}
-
-// Max returns the largest key in the set, or −1 if the set is empty, by
-// scanning shards from the top and skipping provably empty ones. Composed
-// of linearizable per-shard steps under Range's weak-consistency contract.
-func (t *Trie) Max() int64 {
-	for i := t.k - 1; i >= 0; i-- {
-		sh := &t.shards[i]
-		if sh.count.Load() == 0 {
-			continue
-		}
-		if m := sh.max(t.width); m >= 0 {
-			return int64(i)<<t.shardBits | m
-		}
-	}
-	return -1
 }

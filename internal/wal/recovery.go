@@ -63,7 +63,7 @@ func parseShardLSN(name, prefix, ext string) (shard int, lsn uint64, ok bool) {
 
 // Recovery reports what Open reconstructed. ForEach walks the
 // recovered membership in globally ascending key order — the shape the
-// sharded/resize batch entrypoints require for seeding.
+// sharded batch entrypoint requires for seeding.
 type Recovery struct {
 	// Keys is the recovered set's cardinality.
 	Keys int64

@@ -22,7 +22,6 @@ import (
 	"repro/internal/combine"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/resize"
 	"repro/internal/sharded"
 )
 
@@ -107,9 +106,8 @@ func (c *config) validateObservability() error {
 
 // obsState is one trie's observability plumbing: the registry naming the
 // metrics, the event ring the control planes publish into, the hot-path
-// counter/histogram handles, and the shared Stats structs every shard of
-// every table generation writes into (atomic adds aggregate across shards
-// and across resize generations with no carry logic).
+// counter/histogram handles, and the shared Stats structs every shard
+// writes into (atomic adds aggregate across shards with no carry logic).
 type obsState struct {
 	reg   *obs.Registry
 	ring  *obs.Ring
@@ -147,8 +145,7 @@ func newObsState(cfg *config) *obsState {
 // instrumentCore attaches the shared Stats structs and the event ring to
 // one core shard. Must run before the shard sees concurrent use (the
 // attach points are plain stores): New instruments tables while they are
-// still private, and the resize factory wrapper instruments each new
-// partition before the migration coordinator publishes it.
+// still private.
 func (o *obsState) instrumentCore(c *core.Trie, shard int32) {
 	c.SetStats(o.coreStats)
 	if o.bitsStats != nil {
@@ -172,9 +169,7 @@ func (o *obsState) instrumentSharded(t *sharded.Trie) {
 	}
 }
 
-// eachCore visits the live table's core shards (the authoritative table
-// under WithAdaptiveShards — a concurrent migration may retire it right
-// after, which is fine for the weakly-consistent gauges this feeds).
+// eachCore visits the trie's core shards.
 func (t *Trie) eachCore(fn func(*core.Trie)) {
 	switch s := t.set.(type) {
 	case *combine.CoreSet:
@@ -183,16 +178,10 @@ func (t *Trie) eachCore(fn func(*core.Trie)) {
 		for i := 0; i < s.Shards(); i++ {
 			fn(s.Shard(i))
 		}
-	case *resize.Set:
-		tb := s.Table()
-		for i := 0; i < tb.Shards(); i++ {
-			fn(tb.Shard(i))
-		}
 	}
 }
 
-// eachCombiner visits the live table's combiners (none when combining is
-// off).
+// eachCombiner visits the trie's combiners (none when combining is off).
 func (t *Trie) eachCombiner(fn func(*combine.Combiner)) {
 	switch s := t.set.(type) {
 	case *combine.CoreSet:
@@ -205,22 +194,11 @@ func (t *Trie) eachCombiner(fn func(*combine.Combiner)) {
 				fn(c)
 			}
 		}
-	case *resize.Set:
-		tb := s.Table()
-		for i := 0; i < tb.Shards(); i++ {
-			if c := tb.ShardCombiner(i); c != nil {
-				fn(c)
-			}
-		}
 	}
 }
 
-// combineTotals sums the live combiner counters across shards (MaxBatch
-// takes the max). Under WithAdaptiveShards this reads the LIVE table
-// only: a migration retires its table's combiner counters (the resize
-// layer carries adaptive transitions across generations, not round
-// counts), so the combine.* gauges can step down after a resize — the
-// same weak-consistency contract as every other snapshot read.
+// combineTotals sums the combiner counters across shards (MaxBatch takes
+// the max).
 func (t *Trie) combineTotals() combine.Counters {
 	var tot combine.Counters
 	t.eachCombiner(func(c *combine.Combiner) {
@@ -245,8 +223,8 @@ func (t *Trie) registerObsGauges() {
 	o := t.obs
 	r := o.reg
 
-	// Core-layer counters (shared struct, aggregated across shards and
-	// resize generations by construction).
+	// Core-layer counters (shared struct, aggregated across shards by
+	// construction).
 	r.Gauge("core.notifications", o.coreStats.Notifications.Load)
 	r.Gauge("core.bottom_cases", o.coreStats.BottomCases.Load)
 	r.Gauge("core.help_activations", o.coreStats.HelpActivations.Load)
@@ -266,8 +244,7 @@ func (t *Trie) registerObsGauges() {
 		r.Gauge("bits.skipped_bit_reads", b.SkippedBitReads.Load)
 	}
 
-	// Combining layer (live table; see combineTotals for the resize
-	// caveat).
+	// Combining layer.
 	if t.combining {
 		r.Gauge("combine.rounds", func() int64 { return t.combineTotals().Rounds })
 		r.Gauge("combine.batched", func() int64 { return t.combineTotals().Batched })
@@ -281,17 +258,8 @@ func (t *Trie) registerObsGauges() {
 		r.Gauge("adaptive.disables", func() int64 { _, d := t.AdaptiveStats(); return d })
 	}
 
-	// Resize layer.
-	r.Gauge("resize.shards", func() int64 { return int64(t.Shards()) })
-	if t.rz != nil {
-		r.Gauge("resize.grows", func() int64 { return t.rz.Stats().Grows })
-		r.Gauge("resize.shrinks", func() int64 { return t.rz.Stats().Shrinks })
-		r.Gauge("resize.seal_assists", t.rz.SealAssists)
-	}
-
-	// Reclamation: the highest domain epoch across the live table's
-	// shards (each shard owns an EBR domain; the max tracks overall
-	// reclamation progress).
+	// Reclamation: the highest domain epoch across the shards (each shard
+	// owns an EBR domain; the max tracks overall reclamation progress).
 	r.Gauge("ebr.epoch", func() int64 {
 		var max int64
 		t.eachCore(func(c *core.Trie) {
@@ -304,16 +272,17 @@ func (t *Trie) registerObsGauges() {
 
 	// The trie itself, and the ring's own loss accounting.
 	r.Gauge("trie.len", t.set.Len)
+	r.Gauge("trie.shards", func() int64 { return int64(t.shards) })
 	r.Gauge("events.dropped", o.ring.Dropped)
 }
 
 // MetricsSnapshot returns a timestamped reading of every metric the trie
 // maintains, under the versioned repro.trie schema: ops.* operation
 // counters, latency.*_ns sampled histograms, and the per-subsystem gauges
-// (core.*, bits.*, combine.*, adaptive.*, resize.*, ebr.*, trie.*,
-// events.*). Weakly consistent — each value is one atomic read, the set
-// is not a consistent cut. Rate a window with Snapshot.Delta; serve it
-// with internal/obs/export. Empty (schema header only) under
+// (core.*, bits.*, combine.*, adaptive.*, ebr.*, trie.*, events.*).
+// Weakly consistent — each value is one atomic read, the set is not a
+// consistent cut. Rate a window with Snapshot.Delta; serve it with
+// internal/obs/export. Empty (schema header only) under
 // WithoutObservability.
 func (t *Trie) MetricsSnapshot() obs.Snapshot {
 	var snap obs.Snapshot
@@ -337,10 +306,10 @@ func (t *Trie) MetricsSnapshot() obs.Snapshot {
 }
 
 // TraceEvent is one drained control-plane event, decoded for consumers:
-// Kind is the event name, Shard the shard it concerns (−1 for whole-set
-// events such as resizes), and Values the kind-specific named readings —
-// the triggering signal values of an adaptive flip, the per-stage
-// durations of a resize, and so on (see internal/obs for the layouts).
+// Kind is the event name, Shard the shard it concerns, and Values the
+// kind-specific named readings — the triggering signal values of an
+// adaptive flip, the drained batch of a combiner election, and so on (see
+// internal/obs for the layouts).
 type TraceEvent struct {
 	// Seq is the ring ticket: strictly increasing in publication order;
 	// gaps mark events overwritten before they were drained.
@@ -358,18 +327,14 @@ type TraceEvent struct {
 var traceArgNames = map[obs.Kind][]string{
 	obs.KindAdaptiveEnable:  {"ewma_milli", "throughput_fired", "throughput_ops", "direct_peak_ops"},
 	obs.KindAdaptiveDisable: {"ewma_milli", "retract_rate_milli", "rounds", "retracts"},
-	obs.KindResizeGrow:      {"from_shards", "to_shards", "journal_ns", "copy_ns", "catchup_ns", "seal_ns", "replay_ns", "flip_ns"},
-	obs.KindResizeShrink:    {"from_shards", "to_shards", "journal_ns", "copy_ns", "catchup_ns", "seal_ns", "replay_ns", "flip_ns"},
 	obs.KindEpochAdvance:    {"epoch"},
 	obs.KindCombinerElect:   {"batch", "rounds"},
 	obs.KindCombinerRetract: {"wait_beats"},
-	obs.KindSealAssist:      {"keys"},
 }
 
 // Events drains the control-plane trace ring: adaptive-combining flips
-// with the signal values that triggered them, shard resizes with
-// per-stage durations, EBR epoch advances, sampled combiner elections,
-// retractions, and seal assists. Each event is returned exactly once
+// with the signal values that triggered them, EBR epoch advances, sampled
+// combiner elections, and retractions. Each event is returned exactly once
 // across all Events calls; when the bounded ring wraps before a drain,
 // the OLDEST undrained events are dropped (counted in the
 // events.dropped gauge) and the newest kept. Nil under
@@ -406,10 +371,9 @@ func (t *Trie) Events() []TraceEvent {
 }
 
 // Stats is a snapshot of the core-layer counters aggregated over every
-// shard (and, under WithAdaptiveShards, every table generation): the
-// paper-protocol counters plus — under WithDescentStats — the descent
-// engine's cache-work counters (zero otherwise). Zero entirely under
-// WithoutObservability.
+// shard: the paper-protocol counters plus — under WithDescentStats — the
+// descent engine's cache-work counters (zero otherwise). Zero entirely
+// under WithoutObservability.
 type Stats struct {
 	// Notifications counts notify nodes added to notify lists.
 	Notifications int64

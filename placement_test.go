@@ -23,10 +23,6 @@ func TestWithPlacementHintValidation(t *testing.T) {
 		{"without combining",
 			[]lockfreetrie.Option{lockfreetrie.WithShards(4), lockfreetrie.WithPlacementHint([]int{0, 1, 2, 3})},
 			"requires WithCombining"},
-		{"with adaptive shards",
-			[]lockfreetrie.Option{lockfreetrie.WithCombining(), lockfreetrie.WithAdaptiveShards(1, 4),
-				lockfreetrie.WithPlacementHint([]int{0})},
-			"incompatible with WithAdaptiveShards"},
 		{"wrong length",
 			[]lockfreetrie.Option{lockfreetrie.WithShards(4), lockfreetrie.WithCombining(),
 				lockfreetrie.WithPlacementHint([]int{0, 1})},

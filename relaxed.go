@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/combine"
 	"repro/internal/relaxed"
-	"repro/internal/resize"
 	"repro/internal/sharded"
 )
 
@@ -31,35 +30,21 @@ type Relaxed struct {
 	set       relaxedSet
 	shards    int
 	adaptive  bool
-	placement []int              // WithPlacementHint copy; nil when unplaced
-	rz        *resize.RelaxedSet // non-nil under WithAdaptiveShards
+	placement []int // WithPlacementHint copy; nil when unplaced
 }
 
-// relaxedShardedFactory mirrors config.shardedFactory for the relaxed
-// backends.
-func relaxedShardedFactory(c *config, universe int64) func(k int) (*sharded.Relaxed, error) {
-	o := sharded.Options{Combining: c.combining}
-	if c.adaptive {
-		acfg := c.acfg
-		o.Adaptive = &acfg
+// newRelaxedSharded mirrors config.newSharded for the relaxed backends.
+func (c *config) newRelaxedSharded(universe int64, k int) (*sharded.Relaxed, error) {
+	t, err := sharded.NewRelaxedWithOptions(universe, k, c.shardedOptions())
+	if err != nil {
+		return nil, err
 	}
-	if c.placementSet {
-		o.Placement = c.placement
-	}
-	base := func(k int) (*sharded.Relaxed, error) { return sharded.NewRelaxedWithOptions(universe, k, o) }
-	if !c.noCompress {
-		return base
-	}
-	return func(k int) (*sharded.Relaxed, error) {
-		t, err := base(k)
-		if err != nil {
-			return nil, err
-		}
+	if c.noCompress {
 		for i := 0; i < t.Shards(); i++ {
 			t.Shard(i).Bits().SetCompressedDescents(false)
 		}
-		return t, nil
 	}
+	return t, nil
 }
 
 // NewRelaxed returns an empty relaxed trie over {0,…,universe−1} (same
@@ -89,19 +74,7 @@ func NewRelaxed(universe int64, opts ...Option) (*Relaxed, error) {
 	if cfg.dur != nil {
 		return nil, fmt.Errorf("lockfreetrie: WithDurability is incompatible with NewRelaxed (no batch entrypoint to seed recovery through)")
 	}
-	if cfg.adaptiveShards {
-		initial, err := cfg.resizeBounds()
-		if err != nil {
-			return nil, err
-		}
-		rz, err := resize.NewRelaxedSet(initial, relaxedShardedFactory(&cfg, universe),
-			resize.Config{MinShards: cfg.minShards, MaxShards: cfg.maxShards})
-		if err != nil {
-			return nil, fmt.Errorf("lockfreetrie: %w", err)
-		}
-		return &Relaxed{set: rz, shards: initial, adaptive: cfg.adaptive, rz: rz}, nil
-	}
-	// Placement always routes through the sharded factory, as in New.
+	// Placement always routes through newRelaxedSharded, as in New.
 	if cfg.shards == 1 && !cfg.placementSet {
 		r, err := relaxed.New(universe)
 		if err != nil {
@@ -118,7 +91,7 @@ func NewRelaxed(universe int64, opts ...Option) (*Relaxed, error) {
 		}
 		return &Relaxed{set: s, shards: 1, adaptive: cfg.adaptive}, nil
 	}
-	st, err := relaxedShardedFactory(&cfg, universe)(cfg.shards)
+	st, err := cfg.newRelaxedSharded(universe, cfg.shards)
 	if err != nil {
 		return nil, fmt.Errorf("lockfreetrie: %w", err)
 	}
@@ -138,28 +111,8 @@ func (t *Relaxed) PlacementHint() []int {
 // Universe returns the padded universe size.
 func (t *Relaxed) Universe() int64 { return t.set.U() }
 
-// Shards returns the current shard count: the configured value (1 for
-// the unsharded trie), or — under WithAdaptiveShards — the live count,
-// which a concurrent migration may change right after the read.
-func (t *Relaxed) Shards() int {
-	if t.rz != nil {
-		return t.rz.Shards()
-	}
-	return t.shards
-}
-
-// AdaptiveShards reports whether WithAdaptiveShards was set.
-func (t *Relaxed) AdaptiveShards() bool { return t.rz != nil }
-
-// ResizeStats returns the online-resize counters, mirroring
-// Trie.ResizeStats. Without WithAdaptiveShards it is a static snapshot.
-func (t *Relaxed) ResizeStats() ResizeStats {
-	if t.rz == nil {
-		return ResizeStats{Shards: t.shards}
-	}
-	s := t.rz.Stats()
-	return ResizeStats{Shards: s.Shards, Grows: s.Grows, Shrinks: s.Shrinks, Migrating: s.Migrating}
-}
+// Shards returns the configured shard count (1 for the unsharded trie).
+func (t *Relaxed) Shards() int { return t.shards }
 
 // AdaptiveCombining reports whether WithAdaptiveCombining was set.
 func (t *Relaxed) AdaptiveCombining() bool { return t.adaptive }

@@ -36,11 +36,8 @@
 // If the update clustering is unknown or varies at runtime, use
 // WithAdaptiveCombining() instead: each shard then watches its own
 // contention signals and flips between direct and combining publication
-// with hysteresis (DESIGN.md §Adaptive combining). When even the right
-// shard COUNT is workload-dependent, WithAdaptiveShards(min, max) makes
-// k itself adaptive: the trie re-partitions online between min and max
-// shards as contention shifts, migrating live without blocking readers
-// (DESIGN.md §Shard resize).
+// with hysteresis (DESIGN.md §Adaptive combining). The shard count itself
+// is fixed at construction by WithShards.
 //
 // See examples/ for runnable programs and DESIGN.md for the architecture.
 package lockfreetrie
@@ -54,7 +51,6 @@ import (
 	"repro/internal/adapt"
 	"repro/internal/combine"
 	"repro/internal/core"
-	"repro/internal/resize"
 	"repro/internal/sharded"
 	"repro/internal/wal"
 )
@@ -75,17 +71,13 @@ func (e *KeyRangeError) Error() string {
 
 // config collects the functional options of New and NewRelaxed.
 type config struct {
-	shards         int
-	shardsSet      bool
-	combining      bool
-	adaptive       bool
-	acfg           adapt.Config
-	adaptiveShards bool
-	minShards      int
-	maxShards      int
-	noCompress     bool
-	placement      []int
-	placementSet   bool
+	shards       int
+	combining    bool
+	adaptive     bool
+	acfg         adapt.Config
+	noCompress   bool
+	placement    []int
+	placementSet bool
 	// Observability options (obs.go). latEvery 0 selects the default
 	// sampling cadence.
 	obsOff       bool
@@ -127,52 +119,6 @@ func WithShards(k int) Option {
 			return fmt.Errorf("lockfreetrie: WithShards(%d): shard count must be at least 1", k)
 		}
 		c.shards = k
-		c.shardsSet = true
-		return nil
-	}
-}
-
-// WithAdaptiveShards moves the shard-count decision itself to runtime:
-// the trie starts at min shards (or the WithShards value, which must lie
-// in [min, max]) and re-partitions itself online between min and max as
-// the workload's contention shifts. A deterministic decision layer
-// samples the busiest shard's concurrent-publisher estimate (in-flight
-// updates and, on the lock-free trie, announcement-list length) every
-// few hundred updates and proposes doubling when the estimate's EWMA
-// sustains above the grow threshold — with an occupancy guard so a
-// near-empty set never fragments — and halving when it falls below the
-// shrink threshold, with hysteresis and a minimum dwell between
-// proposals (internal/resize; thresholds mirror WithAdaptiveCombining's
-// tuning data).
-//
-// A proposal triggers a live migration: updates keep completing against
-// the old partition while a coordinator builds the new one, journaling
-// concurrently-touched keys through per-shard versioned snapshots and
-// replaying the delta before one epoch flip hands authority over
-// (DESIGN.md §Shard resize). Queries never block at any point of a
-// migration — they always read the one authoritative partition, so
-// Contains/Predecessor keep their usual consistency contracts and Len
-// never observes a half-migrated state. Updates are untouched except
-// inside the brief final handoff window, where a newly arriving update
-// waits for the in-flight ops of the retiring partition plus one
-// bounded delta replay (the same bounded-handoff trade WithCombining
-// makes for claimed operations).
-//
-// min and max must be powers of two with 1 ≤ min ≤ max; max is capped
-// by the universe geometry (every shard spans at least two keys).
-// min == max pins the count (useful only for testing the machinery).
-// Composes with WithCombining and WithAdaptiveCombining: every
-// partition the trie migrates to carries the same configuration.
-func WithAdaptiveShards(min, max int) Option {
-	return func(c *config) error {
-		if min < 1 || min&(min-1) != 0 || max < 1 || max&(max-1) != 0 {
-			return fmt.Errorf("lockfreetrie: WithAdaptiveShards(%d, %d): bounds must be powers of two ≥ 1", min, max)
-		}
-		if min > max {
-			return fmt.Errorf("lockfreetrie: WithAdaptiveShards(%d, %d): min exceeds max", min, max)
-		}
-		c.adaptiveShards = true
-		c.minShards, c.maxShards = min, max
 		return nil
 	}
 }
@@ -184,9 +130,8 @@ func WithAdaptiveShards(min, max int) Option {
 // §Cache-compressed descents). The summaries are advisory — every answer
 // is identical either way — so the only reason to turn them off is
 // measurement: triebench's cc1 experiment uses this switch to embed the
-// uncompressed baseline. Composes with every other option; under
-// WithAdaptiveShards every partition the trie migrates to inherits the
-// setting.
+// uncompressed baseline. Composes with every other option and applies to
+// every shard.
 func WithoutCompressedDescents() Option {
 	return func(c *config) error {
 		c.noCompress = true
@@ -352,9 +297,7 @@ func WithAdaptiveCombining(cfg ...AdaptiveConfig) Option {
 // by default) with group ids in [0, shards). The identity hint
 // (owners[i] = i) declares every shard privately owned. Requires
 // WithCombining or WithAdaptiveCombining — placement shapes publication
-// slots, and without a combining layer there are none — and is
-// incompatible with WithAdaptiveShards, whose migrations re-partition
-// the very key ranges a hint pins.
+// slots, and without a combining layer there are none.
 func WithPlacementHint(owners []int) Option {
 	return func(c *config) error {
 		if len(owners) == 0 {
@@ -371,9 +314,6 @@ func WithPlacementHint(owners []int) Option {
 func (c *config) validatePlacement() error {
 	if !c.placementSet {
 		return nil
-	}
-	if c.adaptiveShards {
-		return fmt.Errorf("lockfreetrie: WithPlacementHint is incompatible with WithAdaptiveShards (a migration re-partitions the key ranges the hint pins)")
 	}
 	if !c.combining && !c.adaptive {
 		return fmt.Errorf("lockfreetrie: WithPlacementHint requires WithCombining or WithAdaptiveCombining (the hint shapes publication slots)")
@@ -411,32 +351,15 @@ type Trie struct {
 	shards    int
 	combining bool
 	adaptive  bool
-	placement []int       // WithPlacementHint copy; nil when unplaced
-	rz        *resize.Set // non-nil under WithAdaptiveShards
-	obs       *obsState   // nil under WithoutObservability
-	wal       *wal.Log    // non-nil under WithDurability
+	placement []int     // WithPlacementHint copy; nil when unplaced
+	obs       *obsState // nil under WithoutObservability
+	wal       *wal.Log  // non-nil under WithDurability
 	recovery  RecoveryStats
 }
 
-// resizeBounds validates the WithAdaptiveShards bounds against the other
-// options and returns the initial shard count: the explicit WithShards
-// value when given (it must lie inside [min, max]), min otherwise.
-func (c *config) resizeBounds() (initial int, err error) {
-	initial = c.minShards
-	if c.shardsSet {
-		if c.shards < c.minShards || c.shards > c.maxShards {
-			return 0, fmt.Errorf("lockfreetrie: WithShards(%d) outside WithAdaptiveShards bounds [%d, %d]",
-				c.shards, c.minShards, c.maxShards)
-		}
-		initial = c.shards
-	}
-	return initial, nil
-}
-
-// shardedFactory builds the per-migration table constructor for the
-// resizable trie, carrying the combining/adaptive configuration into
-// every partition the trie migrates to.
-func (c *config) shardedFactory(universe int64) func(k int) (*sharded.Trie, error) {
+// shardedOptions translates the combining/adaptive/placement options into
+// the sharded layer's construction options.
+func (c *config) shardedOptions() sharded.Options {
 	o := sharded.Options{Combining: c.combining}
 	if c.adaptive {
 		acfg := c.acfg
@@ -445,22 +368,23 @@ func (c *config) shardedFactory(universe int64) func(k int) (*sharded.Trie, erro
 	if c.placementSet {
 		o.Placement = c.placement
 	}
-	base := func(k int) (*sharded.Trie, error) { return sharded.NewWithOptions(universe, k, o) }
-	if !c.noCompress {
-		return base
+	return o
+}
+
+// newSharded builds the k-shard table carrying the configured options.
+func (c *config) newSharded(universe int64, k int) (*sharded.Trie, error) {
+	t, err := sharded.NewWithOptions(universe, k, c.shardedOptions())
+	if err != nil {
+		return nil, err
 	}
-	return func(k int) (*sharded.Trie, error) {
-		t, err := base(k)
-		if err != nil {
-			return nil, err
-		}
-		// The table is still private to the migration coordinator here, so
-		// the plain-field switch is safe.
+	if c.noCompress {
+		// The table is still private here, so the plain-field switch is
+		// safe.
 		for i := 0; i < t.Shards(); i++ {
 			t.Shard(i).Bits().SetCompressedDescents(false)
 		}
-		return t, nil
 	}
+	return t, nil
 }
 
 // New returns an empty trie over the universe {0,…,universe−1}. universe
@@ -504,38 +428,8 @@ func New(universe int64, opts ...Option) (*Trie, error) {
 		}
 		return t, nil
 	}
-	if cfg.adaptiveShards {
-		initial, err := cfg.resizeBounds()
-		if err != nil {
-			return nil, err
-		}
-		factory := cfg.shardedFactory(universe)
-		if o != nil {
-			// Each partition the trie migrates to is instrumented inside
-			// the factory, before the coordinator publishes it.
-			inner := factory
-			factory = func(k int) (*sharded.Trie, error) {
-				st, err := inner(k)
-				if err != nil {
-					return nil, err
-				}
-				o.instrumentSharded(st)
-				return st, nil
-			}
-		}
-		rz, err := resize.NewSet(initial, factory,
-			resize.Config{MinShards: cfg.minShards, MaxShards: cfg.maxShards})
-		if err != nil {
-			return nil, fmt.Errorf("lockfreetrie: %w", err)
-		}
-		if o != nil {
-			rz.SetEvents(o.ring)
-		}
-		return finish(&Trie{set: rz, shards: initial,
-			combining: cfg.combining || cfg.adaptive, adaptive: cfg.adaptive, rz: rz})
-	}
 	// A placed k=1 trie still needs the sharded machinery (arena carve,
-	// sticky combiner), so placement always routes through the factory.
+	// sticky combiner), so placement always routes through newSharded.
 	if cfg.shards == 1 && !cfg.placementSet {
 		c, err := core.New(universe)
 		if err != nil {
@@ -569,7 +463,7 @@ func New(universe int64, opts ...Option) (*Trie, error) {
 			adaptive:  cfg.adaptive,
 		})
 	}
-	st, err := cfg.shardedFactory(universe)(cfg.shards)
+	st, err := cfg.newSharded(universe, cfg.shards)
 	if err != nil {
 		return nil, fmt.Errorf("lockfreetrie: %w", err)
 	}
@@ -593,41 +487,8 @@ func (t *Trie) PlacementHint() []int {
 // Universe returns the padded universe size 2^⌈log₂ u⌉.
 func (t *Trie) Universe() int64 { return t.set.U() }
 
-// Shards returns the current shard count: the configured value (1 for
-// the unsharded trie), or — under WithAdaptiveShards — the live count,
-// which a concurrent migration may change right after the read.
-func (t *Trie) Shards() int {
-	if t.rz != nil {
-		return t.rz.Shards()
-	}
-	return t.shards
-}
-
-// AdaptiveShards reports whether WithAdaptiveShards was set.
-func (t *Trie) AdaptiveShards() bool { return t.rz != nil }
-
-// ResizeStats is a snapshot of the online shard-resize counters of a
-// WithAdaptiveShards trie.
-type ResizeStats struct {
-	// Shards is the current shard count.
-	Shards int
-	// Grows and Shrinks count completed migrations by direction.
-	Grows, Shrinks int64
-	// Migrating reports whether a migration was in flight at the
-	// snapshot.
-	Migrating bool
-}
-
-// ResizeStats returns the online-resize counters. Without
-// WithAdaptiveShards it is a static snapshot: the configured shard
-// count and zero migrations.
-func (t *Trie) ResizeStats() ResizeStats {
-	if t.rz == nil {
-		return ResizeStats{Shards: t.shards}
-	}
-	s := t.rz.Stats()
-	return ResizeStats{Shards: s.Shards, Grows: s.Grows, Shrinks: s.Shrinks, Migrating: s.Migrating}
-}
+// Shards returns the configured shard count (1 for the unsharded trie).
+func (t *Trie) Shards() int { return t.shards }
 
 // Combining reports whether the trie has a combining layer (WithCombining
 // or WithAdaptiveCombining).
