@@ -23,7 +23,7 @@ import (
 // repetition, for the same host-load-drift reasons as ad1.
 const sv1Reps = 3
 
-// sv1 fixed shape: enough connections to keep the batcher fed, the
+// sv1 fixed shape: enough connections to saturate the server, the
 // server's default window, a half-full 2^16 universe.
 const (
 	sv1Universe = int64(1 << 16)

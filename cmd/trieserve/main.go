@@ -1,9 +1,11 @@
 // Command trieserve is predecessor-as-a-service: it owns one lock-free
 // binary trie and serves it over a length-prefixed TCP binary protocol
-// (internal/server). Insert/Delete requests from all connections are
-// coalesced into shared Trie.ApplyBatch sweeps — the network mirror of
-// the flat-combining layer — while Contains/Predecessor/Successor take
-// the direct lock-free path and Range streams in bounded chunks.
+// (internal/server), one goroutine per connection. Each connection's
+// consecutive Insert/Delete requests are coalesced into one
+// Trie.ApplyBatch sweep, shared with the runs other connections queue
+// while the sweep before it runs. Contains/Predecessor/Successor take the
+// direct lock-free path and Range streams in bounded chunks; a
+// connection's requests take effect in the order it sent them.
 //
 // Usage:
 //
@@ -58,8 +60,7 @@ func main() {
 		combining = flag.Bool("combining", false, "enable flat combining inside shards")
 
 		perop        = flag.Bool("perop", false, "apply each update per-op instead of coalescing into ApplyBatch sweeps")
-		window       = flag.Int("window", server.DefaultWindow, "per-connection in-flight request window (backpressure bound)")
-		maxbatch     = flag.Int("maxbatch", server.DefaultMaxBatch, "max updates per ApplyBatch sweep")
+		window       = flag.Int("window", server.DefaultWindow, "most requests a connection holds decoded but unanswered (caps one connection's run)")
 		drainTimeout = flag.Duration("draintimeout", 30*time.Second, "graceful drain deadline before force-close")
 
 		data     = flag.String("data", "", "durability directory: WAL + snapshots, recovered on start (empty = in-memory only)")
@@ -72,7 +73,7 @@ func main() {
 	flag.Parse()
 	dur := durFlags{dir: *data, fsync: *fsync, fsyncInt: *fsyncInt,
 		shards: *walsh, segBytes: *segbytes, snapBytes: *snpbytes}
-	if err := run(*addr, *metrics, *u, *shards, *combining, !*perop, *window, *maxbatch, *drainTimeout, dur); err != nil {
+	if err := run(*addr, *metrics, *u, *shards, *combining, !*perop, *window, *drainTimeout, dur); err != nil {
 		fmt.Fprintln(os.Stderr, "trieserve:", err)
 		os.Exit(1)
 	}
@@ -114,7 +115,7 @@ func (d durFlags) option() (lockfreetrie.Option, error) {
 	return lockfreetrie.WithDurability(d.dir, opts...), nil
 }
 
-func run(addr, metrics string, u int64, shards int, combining, coalesce bool, window, maxbatch int, drainTimeout time.Duration, dur durFlags) error {
+func run(addr, metrics string, u int64, shards int, combining, coalesce bool, window int, drainTimeout time.Duration, dur durFlags) error {
 	var opts []lockfreetrie.Option
 	if shards > 0 {
 		opts = append(opts, lockfreetrie.WithShards(shards))
@@ -141,7 +142,6 @@ func run(addr, metrics string, u int64, shards int, combining, coalesce bool, wi
 	srv := server.New(tr, server.Config{
 		CoalesceUpdates: coalesce,
 		Window:          window,
-		MaxBatch:        maxbatch,
 	})
 
 	ln, err := net.Listen("tcp", addr)

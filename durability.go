@@ -93,7 +93,7 @@ func WithSnapshotBytes(n int64) DurabilityOption {
 
 // WithDurability persists the set to dir: every update is appended to a
 // per-stripe write-ahead log (internal/wal) BEFORE it is applied, with
-// one batcher sweep group-committing as one log record, asynchronous
+// one ApplyBatch call group-committing as one log record, asynchronous
 // consistent snapshots bounding the log, and New recovering the set
 // from dir on construction (Trie.RecoveryStats reports what it found).
 // Call Trie.Close to flush and release the log; read the wal.* metrics

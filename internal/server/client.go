@@ -65,8 +65,8 @@ type pendingCall struct {
 // Client speaks the wire protocol over one connection. All methods are
 // safe for concurrent use; requests pipeline over the single connection
 // and responses are matched by id, so N outstanding calls share one
-// socket — the client-side shape that gives the server's batcher
-// something to coalesce. The async variants are the building block for
+// socket — the client-side shape that gives the server a run of
+// updates to coalesce. The async variants are the building block for
 // open-loop drivers that need more in-flight requests than goroutines.
 type Client struct {
 	nc net.Conn

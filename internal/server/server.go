@@ -14,37 +14,25 @@ import (
 
 // Config tunes one Server.
 type Config struct {
-	// CoalesceUpdates routes Insert/Delete requests through the shared
-	// batcher goroutine, which drains every queued update — across all
-	// connections — into one Trie.ApplyBatch sweep. False applies each
-	// update inline on its connection's reader goroutine (the per-op
+	// CoalesceUpdates applies each run of consecutive Insert/Delete
+	// requests on a connection in one Trie.ApplyBatch sweep, shared with
+	// the runs other connections queue while the sweep before it runs.
+	// False applies each update on its own as it is decoded (the per-op
 	// baseline sv1 measures against).
 	CoalesceUpdates bool
-	// Window bounds each connection's in-flight requests. A reader that
-	// has Window requests outstanding stops reading its socket, so
-	// backpressure propagates to the client as TCP flow control rather
-	// than unbounded server-side queueing. 0 means DefaultWindow.
+	// Window is the most requests a connection holds decoded but
+	// unanswered: a run of updates that reaches it is applied and
+	// answered before the next request is decoded. 0 means
+	// DefaultWindow.
 	Window int
-	// MaxBatch caps one ApplyBatch sweep. 0 means DefaultMaxBatch.
-	MaxBatch int
 }
 
-// Defaults for Config zero values.
-const (
-	DefaultWindow   = 256
-	DefaultMaxBatch = 1024
-)
+// DefaultWindow is the Window used when Config.Window is 0.
+const DefaultWindow = 256
 
-// updateReq is one Insert/Delete waiting for the batcher.
-type updateReq struct {
-	kind  lockfreetrie.OpKind
-	key   int64
-	c     *conn
-	id    uint64
-	start time.Time
-}
-
-// Server owns a Trie and serves the wire protocol over TCP.
+// Server owns a Trie and serves the wire protocol over TCP, with one
+// goroutine per connection and no other: those goroutines take turns
+// applying every connection's queued updates (see sweep).
 type Server struct {
 	trie *lockfreetrie.Trie
 	cfg  Config
@@ -55,13 +43,28 @@ type Server struct {
 	conns  map[*conn]struct{}
 	closed bool
 
-	upq         *updateQueue // nil when !CoalesceUpdates
-	batcherDone chan struct{}
+	// Sweeps run one at a time, server-wide: the durable facade logs a
+	// batch and then applies it, so two sweeps running at once could log
+	// same-key updates in one order and apply them in the other. A
+	// connection queues its run on runq; if no sweep is running it runs
+	// one itself, over every queued run, and otherwise it waits on
+	// sweepDone. So the runs that queue while a sweep waits on the WAL's
+	// fsync share the next sweep and its one fsync (group commit). sweepMu
+	// guards runq, sweeping and each conn's swept and errs, and is never
+	// held across ApplyBatch or a socket read or write: a peer that stops
+	// reading stalls only its own connection.
+	sweepMu   sync.Mutex
+	sweepDone *sync.Cond // on sweepMu, broadcast when a sweep ends
+	sweeping  bool
+	runq      []*conn
+	// spare and sweepOps are reusable buffers owned by the running
+	// sweep: runq's other half, and the merged ops of a sweep that holds
+	// more than one run.
+	spare    []*conn
+	sweepOps []lockfreetrie.Op
 
-	readerWG sync.WaitGroup // per-conn reader goroutines
-	connWG   sync.WaitGroup // per-conn writer goroutines
-
-	active atomic.Int64
+	readerWG sync.WaitGroup
+	active   atomic.Int64
 
 	mAccepted, mReads, mUpdatesBatched, mUpdatesPerOp *obs.Counter
 	mSweeps, mErrProto, mErrOp                        *obs.Counter
@@ -75,15 +78,13 @@ func New(trie *lockfreetrie.Trie, cfg Config) *Server {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultWindow
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultMaxBatch
-	}
 	s := &Server{
 		trie:  trie,
 		cfg:   cfg,
 		reg:   obs.NewRegistry(),
 		conns: map[*conn]struct{}{},
 	}
+	s.sweepDone = sync.NewCond(&s.sweepMu)
 	s.mAccepted = s.reg.Counter("server.conns.accepted")
 	s.mReads = s.reg.Counter("server.ops.read")
 	s.mUpdatesBatched = s.reg.Counter("server.ops.update.batched")
@@ -95,67 +96,7 @@ func New(trie *lockfreetrie.Trie, cfg Config) *Server {
 	s.hUpdateNs = s.reg.Histogram("server.latency.update_ns")
 	s.hReadNs = s.reg.Histogram("server.latency.read_ns")
 	s.reg.Gauge("server.conns.active", s.active.Load)
-	if cfg.CoalesceUpdates {
-		s.upq = newUpdateQueue()
-		s.batcherDone = make(chan struct{})
-		go s.batcher()
-	}
 	return s
-}
-
-// updateQueue is the run queue between the reader goroutines and the
-// batcher. Readers publish whole RUNS (every update frame parsed out of
-// one socket read) under one lock acquisition; the batcher takes
-// everything queued in one swap. Length needs no bound of its own — each
-// queued update holds a window slot, so the queue never exceeds the sum
-// of the connection windows.
-type updateQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	q      []updateReq
-	closed bool
-}
-
-func newUpdateQueue() *updateQueue {
-	u := &updateQueue{}
-	u.cond = sync.NewCond(&u.mu)
-	return u
-}
-
-// pushRun appends a run. Signals only on the empty→nonempty edge, the
-// only time the batcher can be waiting.
-func (u *updateQueue) pushRun(run []updateReq) {
-	u.mu.Lock()
-	wasEmpty := len(u.q) == 0
-	u.q = append(u.q, run...)
-	u.mu.Unlock()
-	if wasEmpty {
-		u.cond.Signal()
-	}
-}
-
-// swap blocks until the queue is nonempty (or closed), then hands the
-// whole backlog to the caller, taking ownership of prev (the caller's
-// previous batch, recycled as the new accumulation buffer). Returns
-// ok=false only when closed AND drained.
-func (u *updateQueue) swap(prev []updateReq) ([]updateReq, bool) {
-	u.mu.Lock()
-	for len(u.q) == 0 && !u.closed {
-		u.cond.Wait()
-	}
-	out := u.q
-	u.q = prev[:0]
-	u.mu.Unlock()
-	return out, len(out) > 0
-}
-
-// close wakes the batcher after the readers are gone; swap drains what
-// remains, then reports done.
-func (u *updateQueue) close() {
-	u.mu.Lock()
-	u.closed = true
-	u.mu.Unlock()
-	u.cond.Signal()
 }
 
 // MetricsSnapshot merges the server's own metrics with the embedded
@@ -191,18 +132,9 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// startConn registers and launches one connection's goroutine pair.
+// startConn registers and launches one connection's goroutine.
 func (s *Server) startConn(nc net.Conn) {
-	c := &conn{
-		srv:     s,
-		nc:      nc,
-		winWake: make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-	}
-	c.out.cond = sync.NewCond(&c.out.mu)
-	// Finals in the queue are bounded by the window; chunk frames get the
-	// same budget again before the reader blocks.
-	c.out.capHint = 2 * s.cfg.Window
+	c := &conn{srv: s, nc: nc, bw: bufio.NewWriterSize(nc, 32<<10)}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -210,126 +142,19 @@ func (s *Server) startConn(nc net.Conn) {
 		return
 	}
 	s.conns[c] = struct{}{}
+	// Added under mu, so a Shutdown that sees this conn also waits for it.
+	s.readerWG.Add(1)
 	s.mu.Unlock()
 	s.mAccepted.Inc(0)
 	s.active.Add(1)
-	s.readerWG.Add(1)
-	s.connWG.Add(1)
 	go c.readLoop()
-	go c.writeLoop()
 }
 
-// batcher is the network combiner: it blocks for one update, drains
-// everything else already queued (bounded by MaxBatch), and applies the
-// run as ONE ApplyBatch — one announcement pass per shard-run for the
-// whole sweep, where the per-op path pays one per update. Responses fan
-// back out as one aggregated run per connection (see sweep). The queue
-// never blocks the batcher on a wedged connection: the sweep's pushes
-// are guaranteed-space (see respQueue).
-func (s *Server) batcher() {
-	defer close(s.batcherDone)
-	var reqs []updateReq
-	var runs []respRun
-	ops := make([]lockfreetrie.Op, 0, s.cfg.MaxBatch)
-	agg := make(map[*conn]int)
-	for {
-		var ok bool
-		reqs, ok = s.upq.swap(reqs)
-		if !ok {
-			return
-		}
-		// The backlog can exceed MaxBatch (it is bounded by the summed
-		// windows); chunk it so each ApplyBatch stays in the size range
-		// where its per-op cost is flat.
-		for off := 0; off < len(reqs); off += s.cfg.MaxBatch {
-			end := off + s.cfg.MaxBatch
-			if end > len(reqs) {
-				end = len(reqs)
-			}
-			runs = s.sweep(reqs[off:end], ops, agg, runs)
-		}
-	}
-}
-
-// framePool recycles response-frame buffers between the sweeps that
-// encode them and the write loops that retire them, so the batched path's
-// steady-state frame traffic allocates nothing. The write loop is the
-// single point where every frame dies, which makes the recycle safe: no
-// other reference survives the push.
-var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
-
-type frameBuf struct{ b []byte }
-
-// sweep applies one batch run and responds to every request in it. The
-// responses are aggregated per connection — every frame destined for one
-// conn is encoded into a single contiguous run, delivered with ONE
-// guaranteed-space push carrying the run's final count — so the response
-// side of a sweep costs O(conns) queue operations and wakeups rather
-// than O(batch).
-func (s *Server) sweep(reqs []updateReq, ops []lockfreetrie.Op, agg map[*conn]int, runs []respRun) []respRun {
-	ops = ops[:0]
-	for _, r := range reqs {
-		ops = append(ops, lockfreetrie.Op{Kind: r.kind, Key: r.key})
-	}
-	errs := s.trie.ApplyBatch(ops)
-	s.mSweeps.Inc(0)
-	s.hBatch.Record(int64(len(reqs)))
-	clear(agg)
-	runs = runs[:0]
-	// One clock read serves every latency sample in the sweep: the ops
-	// complete together (their responses leave in the same per-conn
-	// runs), so a shared end time is exact, not an approximation.
-	now := time.Now()
-	for i, r := range reqs {
-		var err error
-		if errs != nil {
-			err = errs[i]
-		}
-		// Requests enter the backlog as per-connection runs, so consecutive
-		// entries almost always share a conn: checking the run we just
-		// appended to skips the map on that hot path.
-		j := len(runs) - 1
-		if j < 0 || runs[j].c != r.c {
-			var ok bool
-			j, ok = agg[r.c]
-			if !ok {
-				j = len(runs)
-				runs = append(runs, respRun{c: r.c, fb: framePool.Get().(*frameBuf)})
-				agg[r.c] = j
-			}
-		}
-		run := &runs[j]
-		if err != nil {
-			s.mErrOp.Inc(int64(r.id))
-			run.fb.b = encodeErrResponse(run.fb.b, r.id, err)
-		} else {
-			run.fb.b = encodeValueResponse(run.fb.b, r.id, 0)
-		}
-		run.finals++
-		s.hUpdateNs.Record(int64(now.Sub(r.start)))
-	}
-	for i := range runs {
-		run := &runs[i]
-		run.c.out.push(respMsg{frame: run.fb.b, fb: run.fb, finals: run.finals}, true)
-		run.c.pending.Add(-run.finals)
-		runs[i] = respRun{} // the queue owns the buffer now
-	}
-	return runs[:0]
-}
-
-// respRun accumulates one connection's share of a sweep's responses in a
-// pooled frame buffer.
-type respRun struct {
-	c      *conn
-	fb     *frameBuf
-	finals int
-}
-
-// Shutdown drains gracefully: stop accepting, unblock every reader, let
-// in-flight requests (including queued batcher sweeps) complete and
-// their responses flush, then close the sockets. If ctx expires first,
-// connections are force-closed; the drain machinery still runs to
-// completion (discard mode makes it non-blocking) before return.
+// Shutdown drains gracefully: stop accepting, unblock every connection's
+// pending Read, let each answer what it has decoded and flush, then
+// close the sockets. If ctx expires first, the sockets are force-closed,
+// which also fails any write blocked on a peer that stopped reading, and
+// Shutdown returns once every connection goroutine has exited.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -347,25 +172,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		ln.Close()
 	}
 	for _, c := range conns {
-		// Unblock the reader's pending Read. A refused deadline (socket
-		// already dead, or a net.Conn that doesn't support deadlines)
-		// would leave that reader blocked forever; closing the socket
-		// unblocks it just as well, at the cost of the graceful flush.
+		// A refused deadline (socket already dead, or a net.Conn that
+		// doesn't support deadlines) would leave the Read blocked forever;
+		// closing the socket unblocks it too, at the cost of the flush.
 		if err := c.nc.SetReadDeadline(time.Now()); err != nil {
-			c.forceClose()
+			c.close()
 		}
 	}
 	done := make(chan struct{})
 	go func() {
 		s.readerWG.Wait()
-		// All producers into s.upq are reader goroutines; with every
-		// reader gone the queue can close, and the batcher drains what
-		// remains before exiting.
-		if s.upq != nil {
-			s.upq.close()
-			<-s.batcherDone
-		}
-		s.connWG.Wait()
 		close(done)
 	}()
 	select {
@@ -373,273 +189,180 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		for _, c := range conns {
-			c.forceClose()
+			c.close()
 		}
 		<-done
 		return ctx.Err()
 	}
 }
 
-// respMsg is one encoded run of response frames; finals counts the
-// requests this run completes (each releases one window slot). The
-// reader's pushes carry one frame with finals ≤ 1; the batcher's carry a
-// whole sweep's worth of frames for one connection in one push — one
-// queue transfer, one cond signal, and (usually) one socket write per
-// conn per sweep instead of one per update.
-type respMsg struct {
-	frame  []byte
-	fb     *frameBuf // non-nil when frame is pooled; the writer recycles it
-	finals int
-}
-
-// respQueue is the per-connection response queue between the producers
-// (this connection's reader; the shared batcher) and the writer. It is a
-// cond-guarded slice rather than a channel so the two producers get
-// different blocking contracts: the reader's push blocks past capHint
-// (range streaming backpressure, conn-local), while the batcher's push
-// is guaranteed-space — finals are bounded by the in-flight window, so
-// the shared batcher can never stall on one wedged connection.
-type respQueue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	q       []respMsg
-	closed  bool
-	capHint int
-}
-
-// push appends m. force skips the capacity wait (batcher path).
-func (r *respQueue) push(m respMsg, force bool) {
-	r.mu.Lock()
-	for !force && len(r.q) >= r.capHint && !r.closed {
-		r.cond.Wait()
-	}
-	if !r.closed {
-		r.q = append(r.q, m)
-	}
-	r.mu.Unlock()
-	r.cond.Broadcast()
-}
-
-// pop removes the next frame, blocking until one arrives or the queue
-// closes empty.
-func (r *respQueue) pop() (respMsg, bool) {
-	r.mu.Lock()
-	for len(r.q) == 0 && !r.closed {
-		r.cond.Wait()
-	}
-	if len(r.q) == 0 {
-		r.mu.Unlock()
-		return respMsg{}, false
-	}
-	m := r.q[0]
-	r.q = r.q[1:]
-	r.mu.Unlock()
-	r.cond.Broadcast() // wake a reader blocked on capHint
-	return m, true
-}
-
-// empty reports whether the queue is momentarily drained (flush point).
-func (r *respQueue) empty() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.q) == 0
-}
-
-// close wakes every waiter; subsequent pushes are dropped.
-func (r *respQueue) close() {
-	r.mu.Lock()
-	r.closed = true
-	r.mu.Unlock()
-	r.cond.Broadcast()
-}
-
-// conn is one client connection: a reader goroutine that decodes
-// requests and either answers reads inline or feeds updates to the
-// batcher, and a writer goroutine that flushes encoded responses.
+// conn is one client connection, served entirely by readLoop.
 type conn struct {
 	srv *Server
 	nc  net.Conn
-	out respQueue
-	// The in-flight window is an atomic counter, not a channel: the
-	// reader is the only acquirer, so winUsed.Add races with nothing on
-	// that side, and the writer releases a whole response run in ONE
-	// Add(-finals) instead of finals channel operations. winWake is a
-	// 1-buffered ping for the rare full-window case; a stale ping just
-	// makes the reader re-check the counter.
-	winUsed   atomic.Int64
-	winWake   chan struct{}
-	pending   sync.WaitGroup // updates handed to the batcher, unanswered
-	stop      chan struct{}
-	stopOnce  sync.Once
-	closeOnce sync.Once // guards nc.Close across writeLoop exit and forceClose
+	// bw holds this connection's responses until the loop is about to
+	// block in Read (or bw fills). A write error is sticky in bw, so the
+	// replies ignore it and the next Flush reports it.
+	bw *bufio.Writer
+	// ops and ids are the run: decoded updates not yet applied, and the
+	// request ids to answer them under.
+	ops []lockfreetrie.Op
+	ids []uint64
+	// swept and errs are set under sweepMu by the sweep that applied the
+	// run: errs holds the run's per-op errors, nil if there were none.
+	swept     bool
+	errs      []error
+	closeOnce sync.Once // guards nc.Close across readLoop exit and Shutdown
 }
 
-// closeNC closes the socket exactly once. Both the write loop's normal
-// exit and forceClose funnel through here, so a forced shutdown racing a
-// draining writer never double-closes (and never surfaces the second
-// close's "use of closed connection" error anywhere).
-func (c *conn) closeNC() {
+// close closes the socket exactly once.
+func (c *conn) close() {
 	c.closeOnce.Do(func() { c.nc.Close() })
 }
 
-// releaseWin returns n window slots and pings a possibly-waiting reader.
-func (c *conn) releaseWin(n int) {
-	c.winUsed.Add(int64(-n))
-	select {
-	case c.winWake <- struct{}{}:
-	default:
-	}
-}
-
-// forceClose abandons the connection: the socket closes (erroring the
-// writer into discard mode and the reader out of its Read) and any
-// reader blocked on a window slot unblocks.
-func (c *conn) forceClose() {
-	c.stopOnce.Do(func() {
-		close(c.stop)
-		c.closeNC()
-	})
-}
-
-// readLoop decodes and dispatches requests until the client hangs up,
-// the stream corrupts, or shutdown unblocks the pending Read. On the
-// coalescing path it accumulates consecutive update requests into a RUN
-// and publishes the run to the batcher in one queue operation, flushing
-// whenever it is about to block (an empty read buffer, or a full
-// window) — so a pipelining client's updates cost one lock acquisition
-// per socket read rather than one per request. It then runs the
-// connection's drain: wait for the batcher to answer this connection's
-// queued updates, close the response queue, and let the writer flush.
+// readLoop serves the connection until the client hangs up, the stream
+// corrupts, a write fails, or Shutdown unblocks the pending Read. It
+// decodes the requests of each socket read in order: updates join the
+// run, and every other request first applies the run, so a connection's
+// requests take effect in send order. The run is also applied when the
+// read buffer empties or holds Window updates. Every response goes into
+// bw, flushed once before the loop blocks in the next Read.
 func (c *conn) readLoop() {
-	defer c.srv.readerWG.Done()
+	s := c.srv
+	defer s.readerWG.Done()
 	br := bufio.NewReaderSize(c.nc, 32<<10)
 	buf := make([]byte, 0, maxRequestFrame)
-	var run []updateReq
-	flush := func() {
-		if len(run) == 0 {
-			return
-		}
-		c.pending.Add(len(run))
-		c.srv.upq.pushRun(run)
-		run = run[:0]
-	}
 	// One arrival stamp per socket read, not per request: every frame
 	// decoded out of one buffered read was already in the kernel buffer at
-	// that read, so the shared stamp IS their arrival time — and the clock
-	// call drops from once per update to once per burst.
+	// that read, so the shared stamp IS their arrival time. A run never
+	// outlives its stamp, since an empty read buffer applies it.
 	var arrival time.Time
-	stale := true
 	for {
 		if br.Buffered() == 0 {
-			flush() // about to block in Read; publish what we have
-			stale = true
+			c.applyRun(arrival)
+			if c.bw.Flush() != nil {
+				break
+			}
+			if _, err := br.Peek(1); err != nil { // blocks in Read
+				break
+			}
+			arrival = time.Now()
 		}
 		p, err := readFrame(br, buf, maxRequestFrame)
 		if err != nil {
 			break
 		}
-		if stale {
-			arrival = time.Now()
-			stale = false
-		}
 		buf = p[:0]
 		req, err := decodeRequest(p)
 		if err != nil {
-			c.srv.mErrProto.Inc(0)
+			s.mErrProto.Inc(0)
 			break
 		}
-		if c.winUsed.Add(1) > int64(c.srv.cfg.Window) {
-			// Window full: give the slot back and flush first — the
-			// queued updates hold the very slots we are waiting on.
-			c.winUsed.Add(-1)
-			flush()
-			for c.winUsed.Load() >= int64(c.srv.cfg.Window) {
-				select {
-				case <-c.winWake:
-				case <-c.stop:
-					goto drain
-				}
-			}
-			c.winUsed.Add(1)
-		}
-		if c.srv.upq != nil && (req.op == opInsert || req.op == opDelete) {
+		if s.cfg.CoalesceUpdates && (req.op == opInsert || req.op == opDelete) {
+			s.mUpdatesBatched.Inc(req.key)
 			kind := lockfreetrie.OpInsert
 			if req.op == opDelete {
 				kind = lockfreetrie.OpDelete
 			}
-			c.srv.mUpdatesBatched.Inc(req.key)
-			run = append(run, updateReq{kind: kind, key: req.key, c: c, id: req.id, start: arrival})
+			c.ops = append(c.ops, lockfreetrie.Op{Kind: kind, Key: req.key})
+			c.ids = append(c.ids, req.id)
+			if len(c.ops) >= s.cfg.Window {
+				c.applyRun(arrival)
+			}
 			continue
 		}
-		flush() // keep response work roughly arrival-ordered
+		c.applyRun(arrival)
 		c.dispatch(req)
 	}
-drain:
-	flush()
-	c.pending.Wait()
-	c.out.close()
-	c.srv.mu.Lock()
-	delete(c.srv.conns, c)
-	c.srv.mu.Unlock()
-	c.srv.active.Add(-1)
+	// Answer what was decoded before the stream ended; on a dead socket
+	// the writes fail fast.
+	c.applyRun(arrival)
+	c.bw.Flush()
+	c.close()
+	s.mu.Lock()
+	delete(s.conns, c)
+	s.mu.Unlock()
+	s.active.Add(-1)
 }
 
-// writeLoop streams queued response frames through one buffered writer,
-// flushing whenever the queue goes momentarily empty. On a write error
-// it switches to discard mode — it keeps draining the queue and
-// releasing window slots so the batcher and reader never block on a dead
-// peer — and closes the socket on exit either way.
-func (c *conn) writeLoop() {
-	defer c.srv.connWG.Done()
-	defer c.closeNC()
-	w := bufio.NewWriterSize(c.nc, 32<<10)
-	discard := false
-	for {
-		if !discard && c.out.empty() {
-			if err := w.Flush(); err != nil {
-				discard = true
-				c.forceClose()
-			}
-		}
-		m, ok := c.out.pop()
-		if !ok {
-			if !discard {
-				w.Flush()
-			}
-			return
-		}
-		if !discard {
-			if _, err := w.Write(m.frame); err != nil {
-				discard = true
-				c.forceClose()
-			}
-		}
-		if m.fb != nil {
-			m.fb.b = m.frame[:0]
-			framePool.Put(m.fb)
-		}
-		if m.finals > 0 {
-			c.releaseWin(m.finals)
+// applyRun queues the run and waits until a sweep has applied it,
+// running that sweep itself if none is running. Then it writes the run's
+// responses. arrival is the run's socket-read stamp.
+func (c *conn) applyRun(arrival time.Time) {
+	if len(c.ops) == 0 {
+		return
+	}
+	s := c.srv
+	s.sweepMu.Lock()
+	s.runq = append(s.runq, c)
+	for !c.swept {
+		if s.sweeping {
+			s.sweepDone.Wait()
+		} else {
+			s.sweep()
 		}
 	}
+	errs := c.errs
+	c.swept, c.errs = false, nil
+	s.sweepMu.Unlock()
+	// One clock read serves the whole run: its ops completed together.
+	lat := int64(time.Since(arrival))
+	for i, id := range c.ids {
+		var err error
+		if errs != nil {
+			err = errs[i]
+		}
+		c.reply(id, 0, err)
+		s.hUpdateNs.Record(lat)
+	}
+	c.ops, c.ids = c.ops[:0], c.ids[:0]
 }
 
-// dispatch executes one decoded request. Reads run inline on the reader
-// goroutine — the direct path, never queued behind an update sweep.
+// sweep applies every queued run as one ApplyBatch, in queue order, and
+// hands each run its share of the errors. It is called with sweepMu held
+// and no sweep running, and releases sweepMu across ApplyBatch. A sweep
+// holds at most one run per connection.
+func (s *Server) sweep() {
+	runs := s.runq
+	s.runq, s.spare = s.spare[:0], nil
+	s.sweeping = true
+	s.sweepMu.Unlock()
+	ops := runs[0].ops
+	if len(runs) > 1 {
+		ops = s.sweepOps[:0]
+		for _, c := range runs {
+			ops = append(ops, c.ops...)
+		}
+		s.sweepOps = ops
+	}
+	errs := s.trie.ApplyBatch(ops)
+	s.mSweeps.Inc(0)
+	s.hBatch.Record(int64(len(ops)))
+	s.sweepMu.Lock()
+	off := 0
+	for _, c := range runs {
+		if errs != nil {
+			c.errs = errs[off : off+len(c.ops)]
+		}
+		off += len(c.ops)
+		c.swept = true
+	}
+	clear(runs)
+	s.spare = runs
+	s.sweeping = false
+	s.sweepDone.Broadcast()
+}
+
+// dispatch executes one request inline: a read, or an update on the
+// per-op path.
 func (c *conn) dispatch(req request) {
 	s := c.srv
 	start := time.Now()
 	switch req.op {
 	case opInsert, opDelete:
-		// Coalesced-mode updates never reach dispatch (readLoop routes
-		// them into its run); this is the per-op baseline path.
-		kind := lockfreetrie.OpInsert
-		if req.op == opDelete {
-			kind = lockfreetrie.OpDelete
-		}
 		s.mUpdatesPerOp.Inc(req.key)
 		var err error
-		if kind == lockfreetrie.OpInsert {
+		if req.op == opInsert {
 			err = s.trie.Insert(req.key)
 		} else {
 			err = s.trie.Delete(req.key)
@@ -672,28 +395,27 @@ func (c *conn) dispatch(req request) {
 	}
 }
 
-// reply queues one value-or-error response from the reader goroutine.
+// reply writes one value-or-error response, encoded straight into bw's
+// free space so it allocates nothing.
 func (c *conn) reply(id uint64, v int64, err error) {
-	var frame []byte
 	if err != nil {
 		c.srv.mErrOp.Inc(int64(id))
-		frame = encodeErrResponse(nil, id, err)
-	} else {
-		frame = encodeValueResponse(nil, id, v)
+		c.bw.Write(encodeErrResponse(c.bw.AvailableBuffer(), id, err))
+		return
 	}
-	c.out.push(respMsg{frame: frame, finals: 1}, false)
+	c.bw.Write(encodeValueResponse(c.bw.AvailableBuffer(), id, v))
 }
 
 // streamRange walks [key, hi] descending (the trie's native Range
-// order), emitting chunk frames of up to rangeChunkKeys keys and a
-// terminal count frame. Chunk pushes may block on the queue's capacity —
-// range backpressure is conn-local by design.
+// order), writing chunk frames of up to rangeChunkKeys keys and a
+// terminal count frame. A peer that reads slowly blocks these writes,
+// which stalls only this connection.
 func (c *conn) streamRange(req request) {
 	chunk := make([]int64, 0, rangeChunkKeys)
 	var count int64
 	flush := func() {
 		if len(chunk) > 0 {
-			c.out.push(respMsg{frame: encodeRangeChunk(nil, req.id, chunk)}, false)
+			c.bw.Write(encodeRangeChunk(c.bw.AvailableBuffer(), req.id, chunk))
 			chunk = chunk[:0]
 		}
 	}
@@ -706,10 +428,9 @@ func (c *conn) streamRange(req request) {
 		return true
 	})
 	if err != nil {
-		c.srv.mErrOp.Inc(int64(req.id))
-		c.out.push(respMsg{frame: encodeErrResponse(nil, req.id, err), finals: 1}, false)
+		c.reply(req.id, 0, err)
 		return
 	}
 	flush()
-	c.out.push(respMsg{frame: encodeRangeEnd(nil, req.id, count), finals: 1}, false)
+	c.bw.Write(encodeRangeEnd(c.bw.AvailableBuffer(), req.id, count))
 }

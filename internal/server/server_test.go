@@ -286,3 +286,205 @@ func TestServerProtocolErrorClosesConn(t *testing.T) {
 		t.Fatal("protocol error not counted")
 	}
 }
+
+// TestServerGroupCommit: the runs that queue while a sweep is running
+// share the next sweep, one ApplyBatch for all of them (so one WAL fsync
+// on a durable trie), and each connection still gets its own responses.
+func TestServerGroupCommit(t *testing.T) {
+	srv, addr := startServer(t, 1<<16, Config{CoalesceUpdates: true})
+	// Stand in for a sweep in progress, so every client's run queues.
+	srv.sweepMu.Lock()
+	srv.sweeping = true
+	srv.sweepMu.Unlock()
+	const conns = 8
+	errc := make(chan error, conns)
+	for i := int64(0); i < conns; i++ {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		go func() { errc <- c.Insert(i) }()
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.sweepMu.Lock()
+		queued := len(srv.runq)
+		srv.sweepMu.Unlock()
+		if queued == conns {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d runs queued", queued, conns)
+		}
+	}
+	srv.sweepMu.Lock()
+	srv.sweeping = false
+	srv.sweepDone.Broadcast()
+	srv.sweepMu.Unlock()
+	for i := 0; i < conns; i++ {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sweeps := srv.MetricsSnapshot().Counters["server.batch.sweeps"]; sweeps != 1 {
+		t.Fatalf("sweeps = %d for %d queued runs, want 1", sweeps, conns)
+	}
+	for k := int64(0); k < conns; k++ {
+		if in, err := srv.trie.Contains(k); err != nil || !in {
+			t.Fatalf("contains %d = %v, %v", k, in, err)
+		}
+	}
+}
+
+// TestServerConnOrder: a connection's requests take effect in send order,
+// so a read issued right behind an unanswered update sees it.
+func TestServerConnOrder(t *testing.T) {
+	for _, coalesce := range []bool{true, false} {
+		name := "perop"
+		if coalesce {
+			name = "coalesce"
+		}
+		t.Run(name, func(t *testing.T) {
+			_, addr := startServer(t, 1<<16, Config{CoalesceUpdates: coalesce})
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var wg sync.WaitGroup
+			for k := int64(0); k < 1000; k++ {
+				wg.Add(1)
+				c.UpdateAsync(true, k, func(err error) {
+					if err != nil {
+						t.Error(err)
+					}
+					wg.Done()
+				})
+				if in, err := c.Contains(k); err != nil || !in {
+					t.Fatalf("contains %d right after its insert = %v, %v", k, in, err)
+				}
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// TestServerWedgedPeer: a peer that streams updates and never reads its
+// responses stalls only its own connection. Another client's updates
+// keep completing, and a Shutdown whose deadline expires force-closes
+// the wedged socket instead of hanging.
+func TestServerWedgedPeer(t *testing.T) {
+	tr, err := lockfreetrie.New(1 << 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(tr, Config{CoalesceUpdates: true})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(smallSendBuf{ln}) }()
+	// Stops the server if the test fails before its own Shutdown.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+	addr := ln.Addr().String()
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if err := raw.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	// The writer streams for the whole test. A write that stalls means the
+	// server has stopped reading this socket, because it is blocked
+	// writing responses nobody reads; the writer then keeps pushing, so
+	// the server stays blocked.
+	wedged := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		var burst []byte
+		for id := uint64(1); ; {
+			burst = burst[:0]
+			for i := 0; i < 256; i++ {
+				burst = encodeRequest(burst, request{op: opInsert, id: id, key: int64(id % (1 << 16))})
+				id++
+			}
+			for rest := burst; len(rest) > 0; {
+				raw.SetWriteDeadline(time.Now().Add(500 * time.Millisecond))
+				n, err := raw.Write(rest)
+				rest = rest[n:]
+				var ne net.Error
+				switch {
+				case err == nil:
+				case errors.As(err, &ne) && ne.Timeout():
+					select {
+					case <-wedged:
+					default:
+						close(wedged)
+					}
+				default:
+					return
+				}
+			}
+		}
+	}()
+	select {
+	case <-wedged:
+	case <-writerDone:
+		t.Fatal("raw writer failed before the server stopped reading it")
+	case <-time.After(30 * time.Second):
+		t.Fatal("server kept reading a peer that never reads")
+	}
+
+	c, err := Dial(addr, WithCallTimeout(2*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for k := int64(0); k < 100; k++ {
+		if err := c.Insert(k); err != nil {
+			t.Fatalf("insert %d beside a wedged peer: %v", k, err)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	shut := make(chan error, 1)
+	go func() { shut <- srv.Shutdown(ctx) }()
+	select {
+	case err := <-shut:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("shutdown = %v, want the deadline to force-close the wedged peer", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("shutdown hung on a wedged peer")
+	}
+	raw.Close()
+	<-writerDone
+	if err := <-serveErr; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+}
+
+// smallSendBuf shrinks each accepted socket's send buffer, so a peer
+// that never reads wedges its connection after a few KiB of responses
+// instead of after the kernel's autotuned megabytes.
+type smallSendBuf struct{ net.Listener }
+
+func (l smallSendBuf) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	if err := nc.(*net.TCPConn).SetWriteBuffer(4096); err != nil {
+		nc.Close()
+		return nil, err
+	}
+	return nc, nil
+}

@@ -1,17 +1,19 @@
 // Package server is the trie's network front-end: a length-prefixed TCP
-// binary protocol whose update path coalesces concurrently-arriving
-// Insert/Delete requests from ALL connections into single Trie.ApplyBatch
-// sweeps — the network mirror of the flat-combining layer. A combiner
-// thread inside the process batches announcements because contended CAS
-// retries are wasted work; a batcher goroutine inside the server batches
-// network requests because per-op announcement passes are wasted work at
-// exactly the moment — saturation — when requests are naturally queued
-// and batchable. Reads (Contains/Predecessor/Successor) take the direct
-// path: they never block behind the update sweep, mirroring how trie
-// searches never help the combiner.
+// binary protocol served by one goroutine per connection. That goroutine
+// applies each run of consecutive Insert/Delete requests it decodes in
+// one Trie.ApplyBatch sweep, shared with the runs other connections
+// queue while the sweep before it runs — the network mirror of the
+// flat-combining layer: a pipelining client's updates arrive together in
+// one socket read, and per-op announcement passes over them would be
+// wasted work.
+// Reads (Contains/Predecessor/Successor/Range) run inline on the
+// lock-free path, after the connection's earlier updates, so a
+// connection's requests take effect in send order. Every response goes
+// out through the connection's own buffered writer, flushed once per
+// burst.
 //
 // See DESIGN.md §Server layer for the protocol, the backpressure bound
-// and the drain proof-sketch.
+// and the drain semantics.
 package server
 
 import (

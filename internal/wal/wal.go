@@ -1,6 +1,6 @@
 // Package wal is the trie's durability spine: a per-shard write-ahead
 // op log plus asynchronous consistent snapshots, built so that one
-// batcher sweep is one group-committed log write and recovery is
+// ApplyBatch sweep is one group-committed log write and recovery is
 // snapshot + bounded log-tail replay.
 //
 // # Layout
@@ -23,7 +23,7 @@
 //
 // The CRC (Castagnoli) covers everything after itself. LSNs are
 // per-shard, contiguous and strictly increasing; a whole ApplyBatch
-// shard-run is one record, which is what makes the batcher's sweep a
+// shard-run is one record, which is what makes a server sweep a
 // group commit: one record append + at most one fsync per sweep,
 // whatever the batch size.
 //

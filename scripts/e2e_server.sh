@@ -3,9 +3,9 @@
 # loopback socket, driven over the network by the open-loop load
 # generator, metrics scraped from the merged /snapshot, and a graceful
 # SIGTERM drain verified by exit code. This is the one place the whole
-# stack — wire protocol, coalescing batcher, window backpressure, obs
-# exposition, signal handling — runs as separate processes, the way the
-# daemon is actually deployed.
+# stack — wire protocol, per-connection coalesced sweeps, window
+# backpressure, obs exposition, signal handling — runs as separate
+# processes, the way the daemon is actually deployed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
