@@ -237,53 +237,6 @@ func TestAdaptiveApplyBatch(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRelaxedFacade drives the relaxed adaptive variant to a known
-// quiescent state and checks the mode plumbing.
-func TestAdaptiveRelaxedFacade(t *testing.T) {
-	for _, k := range []int{1, 4} {
-		cfg := aggressive
-		cfg.StartCombining = true
-		tr, err := lockfreetrie.NewRelaxed(256,
-			lockfreetrie.WithShards(k), lockfreetrie.WithAdaptiveCombining(cfg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tr.AdaptiveCombining() {
-			t.Fatal("AdaptiveCombining() = false")
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				lo := int64(id) * 64
-				for i := int64(0); i < 64; i++ {
-					tr.Insert(lo + i)
-				}
-				for i := int64(1); i < 64; i += 2 {
-					tr.Delete(lo + i)
-				}
-			}(g)
-		}
-		wg.Wait()
-		for x := int64(0); x < 256; x++ {
-			want := x%2 == 0
-			got, err := tr.Contains(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("k=%d: Contains(%d) = %v, want %v", k, x, got, want)
-			}
-		}
-		if got := tr.Len(); got != 128 {
-			t.Fatalf("k=%d: Len = %d, want 128", k, got)
-		}
-		e, d := tr.AdaptiveStats()
-		t.Logf("k=%d enables=%d disables=%d", k, e, d)
-	}
-}
-
 // adaptiveFactory builds facade tries under WithAdaptiveCombining for the
 // settest suite.
 func adaptiveFactory(k int, start bool) settest.Factory {

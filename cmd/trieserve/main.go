@@ -21,8 +21,7 @@
 // requests complete and flush, then the process exits; a second signal
 // (or -draintimeout) force-closes.
 //
-// Options mirror the facade: -shards fixes the shard count, -combining
-// enables flat combining inside each shard. -perop disables request
+// -shards fixes the facade's shard count. -perop disables request
 // coalescing (the sv1 baseline).
 //
 // -data enables durability: updates append to a per-shard write-ahead
@@ -56,8 +55,7 @@ func main() {
 		metrics = flag.String("metrics", "", "HTTP listen address for /debug/vars, /metrics, /snapshot (empty disables)")
 		u       = flag.Int64("u", 1<<20, "key universe size")
 
-		shards    = flag.Int("shards", 0, "fixed shard count (0 = unsharded)")
-		combining = flag.Bool("combining", false, "enable flat combining inside shards")
+		shards = flag.Int("shards", 0, "fixed shard count (0 = unsharded)")
 
 		perop        = flag.Bool("perop", false, "apply each update per-op instead of coalescing into ApplyBatch sweeps")
 		window       = flag.Int("window", server.DefaultWindow, "most requests a connection holds decoded but unanswered (caps one connection's run)")
@@ -73,7 +71,7 @@ func main() {
 	flag.Parse()
 	dur := durFlags{dir: *data, fsync: *fsync, fsyncInt: *fsyncInt,
 		shards: *walsh, segBytes: *segbytes, snapBytes: *snpbytes}
-	if err := run(*addr, *metrics, *u, *shards, *combining, !*perop, *window, *drainTimeout, dur); err != nil {
+	if err := run(*addr, *metrics, *u, *shards, !*perop, *window, *drainTimeout, dur); err != nil {
 		fmt.Fprintln(os.Stderr, "trieserve:", err)
 		os.Exit(1)
 	}
@@ -115,13 +113,10 @@ func (d durFlags) option() (lockfreetrie.Option, error) {
 	return lockfreetrie.WithDurability(d.dir, opts...), nil
 }
 
-func run(addr, metrics string, u int64, shards int, combining, coalesce bool, window int, drainTimeout time.Duration, dur durFlags) error {
+func run(addr, metrics string, u int64, shards int, coalesce bool, window int, drainTimeout time.Duration, dur durFlags) error {
 	var opts []lockfreetrie.Option
 	if shards > 0 {
 		opts = append(opts, lockfreetrie.WithShards(shards))
-	}
-	if combining {
-		opts = append(opts, lockfreetrie.WithCombining())
 	}
 	dopt, err := dur.option()
 	if err != nil {

@@ -1,8 +1,8 @@
 // Durability: the WithDurability option and the write-ahead wrapper it
 // installs around the assembled backend. The trie stays a pure
 // in-memory structure — durability is one decoration layer at the
-// facade seam, so it covers every construction path (k=1 and sharded)
-// identically, the way observability attaches in obs.go.
+// facade seam, over the sharded table New builds at every shard count,
+// the way observability attaches in obs.go.
 package lockfreetrie
 
 import (
@@ -169,8 +169,8 @@ type RecoveryStats struct {
 
 // attachDurability opens (recovering) the log, seeds the still-private
 // backend with the recovered set, and wraps the backend so every
-// further update is logged before it applies. Runs at the New seam
-// shared by all construction paths, before the trie is published.
+// further update is logged before it applies. Runs inside New, before
+// the trie is published.
 func (t *Trie) attachDurability(dc *durConfig) error {
 	log, rec, err := wal.Open(dc.dir, t.set.U(), dc.opts)
 	if err != nil {

@@ -1,7 +1,6 @@
 package lockfreetrie_test
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -133,6 +132,49 @@ func TestDurableMetrics(t *testing.T) {
 	if got := tr2.MetricsSnapshot().Counters["wal.append.ops"]; got != 1 {
 		t.Fatalf("wal.append.ops without trie obs = %d, want 1", got)
 	}
+
+	// The layer gauges read the backend, not the write-ahead wrapper in
+	// front of it: a durable trie reports its EBR epoch, its combiner
+	// counters and its adaptive flips exactly as an in-memory one does.
+	comb, err := lockfreetrie.New(1<<12, lockfreetrie.WithCombining(),
+		lockfreetrie.WithDurability(t.TempDir(), lockfreetrie.WithSyncEvery(1024)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer comb.Close()
+	const pairs = 2000
+	for k := int64(0); k < pairs; k++ {
+		comb.Insert(k)
+		comb.Delete(k)
+	}
+	c := comb.MetricsSnapshot().Counters
+	if got := c["combine.batched"] + c["combine.direct"]; got != 2*pairs {
+		t.Errorf("durable combine.batched + combine.direct = %d, want %d submitted", got, 2*pairs)
+	}
+	if c["ebr.epoch"] == 0 {
+		t.Errorf("durable ebr.epoch = 0 after %d insert/delete pairs", pairs)
+	}
+	ad, err := lockfreetrie.New(1<<12,
+		lockfreetrie.WithAdaptiveCombining(lockfreetrie.AdaptiveConfig{
+			SampleEvery: 16, MinDwellSamples: 3, StartCombining: true,
+			EnableThreshold: 2.5, DisableThreshold: 1.4, SmoothingAlpha: 0.5,
+		}),
+		lockfreetrie.WithDurability(t.TempDir(), lockfreetrie.WithSyncEvery(1024)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ad.Close()
+	// A solo publisher starting in combining mode is flipped to direct
+	// within the dwell bound (TestAdaptiveSoloPublisherDisables).
+	for k := int64(0); k < 256; k++ {
+		ad.Insert(k)
+	}
+	if _, d := ad.AdaptiveStats(); d == 0 {
+		t.Error("durable AdaptiveStats reports no disable after a solo publisher's burst")
+	}
+	if d := ad.MetricsSnapshot().Counters["adaptive.disables"]; d == 0 {
+		t.Error("durable adaptive.disables = 0 after a solo publisher's burst")
+	}
 }
 
 // TestDurabilityOptionValidation: bad options fail construction.
@@ -149,10 +191,6 @@ func TestDurabilityOptionValidation(t *testing.T) {
 		if _, err := lockfreetrie.New(1<<12, opt); err == nil {
 			t.Fatalf("case %d: invalid durability option accepted", i)
 		}
-	}
-	if _, err := lockfreetrie.NewRelaxed(1<<12, lockfreetrie.WithDurability(t.TempDir())); err == nil ||
-		!strings.Contains(err.Error(), "NewRelaxed") {
-		t.Fatalf("NewRelaxed with durability: %v, want rejection", err)
 	}
 }
 

@@ -70,7 +70,7 @@ type Event struct {
 	Seq uint64 `json:"seq"`
 	// Kind discriminates the Args layout.
 	Kind Kind `json:"kind"`
-	// Shard is the shard the event concerns (0 on the k=1 paths).
+	// Shard is the shard the event concerns (0 on an unsharded trie).
 	Shard int32 `json:"shard"`
 	// UnixNanos is the publication wall-clock time.
 	UnixNanos int64            `json:"unix_nanos"`
@@ -81,18 +81,25 @@ type Event struct {
 func (e Event) Time() time.Time { return time.Unix(0, e.UnixNanos) }
 
 // ringSlot is one seqlock-protected event cell. The payload is stored
-// word-by-word through atomics, so two writers lapping onto the same
-// slot — or a reader racing either — are data-race-free by construction;
-// the seq word then makes torn mixes DETECTABLE: a writer parks seq at 0
-// while it stores, and publishes ticket+1 when done, so a reader that
-// sees the same expected seq before and after its copy holds exactly the
-// ticket's payload.
+// word-by-word through atomics, so a reader racing a writer is
+// data-race-free by construction; the seq word makes a torn copy
+// DETECTABLE and keeps writers exclusive. A writer claims the slot by
+// CASing seq from its current value to ringInFlight, stores the payload,
+// and publishes ticket+1. A claim only moves seq forward — a writer that
+// finds the slot in flight, or already holding a later ticket, skips its
+// stores — so at most one writer stores into a slot at a time, published
+// values never repeat, and a reader that sees the same expected seq before
+// and after its copy holds exactly that ticket's payload.
 type ringSlot struct {
-	seq  atomic.Uint64 // 0 while a write is in flight; ticket+1 when published
+	seq  atomic.Uint64 // 0 before the first write; ringInFlight while claimed; ticket+1 when published
 	meta atomic.Int64  // kind<<32 | uint32(shard)
 	time atomic.Int64
 	args [EventArgs]atomic.Int64
 }
+
+// ringInFlight is the seq value of a claimed slot whose payload is being
+// stored. Published values are ticket+1, so no ticket ever reaches it.
+const ringInFlight = ^uint64(0)
 
 // Ring is a bounded lock-free multi-producer event buffer with overwrite
 // semantics: publishers never block and never fail — when the ring is
@@ -108,6 +115,12 @@ type Ring struct {
 	// Drain state: drains serialize on mu (publishers never touch it).
 	mu   sync.Mutex
 	next uint64 // first undrained ticket
+
+	// Test hooks, nil outside tests and set before concurrent use:
+	// midPublish runs between a writer's first payload store and the rest,
+	// drainBound right after a drain has loaded its ticket bound.
+	midPublish func(ticket uint64)
+	drainBound func()
 }
 
 // DefaultRingSize is the slot count NewRing uses for n ≤ 0: large enough
@@ -137,9 +150,10 @@ func (r *Ring) Cap() int {
 	return len(r.slots)
 }
 
-// Dropped returns the cumulative count of events lost to overwrite or to
-// a copy the drain could not certify (a write in flight during the
-// drain). Nil-safe.
+// Dropped returns the cumulative count of events lost to overwrite, to a
+// writer lapped before it could store (its slot was in flight or held a
+// later ticket), or to a copy the drain could not certify (a write in
+// flight during the drain). Nil-safe.
 func (r *Ring) Dropped() int64 {
 	if r == nil {
 		return 0
@@ -157,12 +171,22 @@ func (r *Ring) Publish(kind Kind, shard int32, args ...int64) {
 	}
 	t := r.ticket.Add(1) - 1
 	s := &r.slots[t&r.mask]
-	// Seqlock write: park the slot (seq=0 marks a write in flight), store
-	// the payload word-by-word, publish ticket+1. A concurrent lapping
-	// writer interleaving here leaves seq at a value no reader expects
-	// for either ticket, so the torn payload is discarded, not surfaced.
-	s.seq.Store(0)
+	// Claim the slot. A writer that finds it in flight, or holding a later
+	// ticket, has been lapped: it skips its stores, and the drain counts
+	// the lost ticket in Dropped when ticket+1 never shows up in the slot.
+	for {
+		cur := s.seq.Load()
+		if cur == ringInFlight || cur > t {
+			return
+		}
+		if s.seq.CompareAndSwap(cur, ringInFlight) {
+			break
+		}
+	}
 	s.meta.Store(int64(kind)<<32 | int64(uint32(shard)))
+	if h := r.midPublish; h != nil {
+		h(t)
+	}
 	s.time.Store(time.Now().UnixNano())
 	for i := 0; i < EventArgs; i++ {
 		var v int64
@@ -186,6 +210,9 @@ func (r *Ring) Drain() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	cur := r.ticket.Load()
+	if h := r.drainBound; h != nil {
+		h()
+	}
 	start := r.next
 	if size := uint64(len(r.slots)); cur > size && cur-size > start {
 		// The window [start, cur−size) was overwritten before this drain.
@@ -197,7 +224,7 @@ func (r *Ring) Drain() []Event {
 		s := &r.slots[t&r.mask]
 		want := t + 1
 		if s.seq.Load() != want {
-			r.dropped.Add(1) // in-flight write, or lapped since cur was read
+			r.dropped.Add(1) // in flight, lapped since cur was read, or skipped by a lapped writer
 			continue
 		}
 		var e Event

@@ -134,6 +134,80 @@ func TestRingStress(t *testing.T) {
 	}
 }
 
+// TestRingLappingWriterCannotTearDrain forces the one interleaving in
+// which two writers share a slot while a drain copies it. Writer A parks
+// mid-payload on ticket t. A drain loads its bound (t+1) and parks. Writer
+// B takes ticket t+cap, which maps to A's slot, and parks after its first
+// payload store if it gets that far. A publishes, and the drain resumes:
+// it must return A's event intact, never B's first word over A's payload.
+func TestRingLappingWriterCannotTearDrain(t *testing.T) {
+	r := NewRing(4)
+	const ticketA, ticketB = 0, 4 // both map to slot 0
+	aParked, aGo := make(chan struct{}), make(chan struct{})
+	bParked, bGo := make(chan struct{}), make(chan struct{})
+	drainParked, drainGo := make(chan struct{}), make(chan struct{})
+	r.midPublish = func(ticket uint64) {
+		switch ticket {
+		case ticketA:
+			close(aParked)
+			<-aGo
+		case ticketB:
+			close(bParked)
+			<-bGo
+		}
+	}
+	r.drainBound = func() {
+		close(drainParked)
+		<-drainGo
+	}
+
+	aDone := make(chan struct{})
+	go func() {
+		defer close(aDone)
+		r.Publish(KindEpochAdvance, 1, 11, 11, 11, 11)
+	}()
+	<-aParked
+	drained := make(chan []Event)
+	go func() { drained <- r.Drain() }()
+	<-drainParked
+	for i := 0; i < ticketB-1; i++ {
+		r.Publish(KindCombinerRetract, 3, 0)
+	}
+	bDone := make(chan struct{})
+	go func() {
+		defer close(bDone)
+		r.Publish(KindCombinerElect, 2, 22, 22, 22, 22)
+	}()
+	// B either skips its stores (the slot is in flight) and returns, or
+	// gets into the slot and parks after its first payload store.
+	select {
+	case <-bParked:
+	case <-bDone:
+	}
+	close(aGo)
+	<-aDone
+	close(drainGo)
+	evs := <-drained
+	close(bGo)
+	<-bDone
+	r.midPublish, r.drainBound = nil, nil
+
+	want := Event{Seq: ticketA, Kind: KindEpochAdvance, Shard: 1, Args: [EventArgs]int64{11, 11, 11, 11}}
+	if len(evs) != 1 {
+		t.Fatalf("drain returned %d events, want writer A's one: %+v", len(evs), evs)
+	}
+	if got := evs[0]; got.Seq != want.Seq || got.Kind != want.Kind || got.Shard != want.Shard || got.Args != want.Args {
+		t.Fatalf("drain returned a torn event %+v, want writer A's %+v", got, want)
+	}
+	// Every ticket is still accounted exactly once: the three fillers
+	// drain, and B's skipped event is a drop.
+	rest := r.Drain()
+	if total := int64(len(evs)+len(rest)) + r.Dropped(); total != ticketB+1 {
+		t.Fatalf("drained %d + dropped %d = %d, want %d published",
+			len(evs)+len(rest), r.Dropped(), total, ticketB+1)
+	}
+}
+
 // TestRingQuiescentDrainLosesNothing: with no writer in flight, a drain
 // must surface every undrained event the ring still holds — in-progress
 // accounting must not leak drops at quiescence.

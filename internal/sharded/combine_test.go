@@ -167,38 +167,3 @@ func TestShardedSuccessor(t *testing.T) {
 		}
 	}
 }
-
-// TestRelaxedCombining drives the combining relaxed variant to a known
-// quiescent state.
-func TestRelaxedCombining(t *testing.T) {
-	for _, k := range []int{1, 4} {
-		tr, err := sharded.NewRelaxedCombining(256, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				lo := int64(id) * 64
-				for i := int64(0); i < 64; i++ {
-					tr.Insert(lo + i)
-				}
-				for i := int64(1); i < 64; i += 2 {
-					tr.Delete(lo + i)
-				}
-			}(g)
-		}
-		wg.Wait()
-		for x := int64(0); x < 256; x++ {
-			want := x%2 == 0
-			if got := tr.Search(x); got != want {
-				t.Fatalf("k=%d: Search(%d) = %v, want %v", k, x, got, want)
-			}
-		}
-		if got := tr.Len(); got != 128 {
-			t.Fatalf("k=%d: Len = %d, want 128", k, got)
-		}
-	}
-}

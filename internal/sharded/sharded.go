@@ -156,7 +156,7 @@ func ceilPow2(n int) int {
 }
 
 // geometry validates (u, k) and returns the padded universe, shard width
-// and width's log2. Shared by New and NewRelaxed.
+// and width's log2.
 func geometry(u int64, k int) (pu, width int64, shardBits uint, err error) {
 	if k < 1 || k > MaxShards || k&(k-1) != 0 {
 		return 0, 0, 0, fmt.Errorf("sharded: shard count %d must be a power of two in [1, %d]", k, MaxShards)
@@ -176,7 +176,7 @@ func geometry(u int64, k int) (pu, width int64, shardBits uint, err error) {
 // next power of two) split into k contiguous shards. k must be a power of
 // two with 1 ≤ k ≤ min(MaxShards, paddedU/2), so every shard spans at least
 // two keys.
-func New(u int64, k int) (*Trie, error) { return newTrie(u, k, false, nil) }
+func New(u int64, k int) (*Trie, error) { return NewWithOptions(u, k, Options{}) }
 
 // NewCombining is New with per-shard flat combining enabled: every shard
 // gets a combine.Combiner (default slot count) and Insert/Delete publish
@@ -184,7 +184,9 @@ func New(u int64, k int) (*Trie, error) { return newTrie(u, k, false, nil) }
 // concurrent same-shard updates are drained into single core.ApplyBatch
 // calls that announce once per batch (DESIGN.md §Combining layer). Reads
 // and ApplyBatch are identical in both modes.
-func NewCombining(u int64, k int) (*Trie, error) { return newTrie(u, k, true, nil) }
+func NewCombining(u int64, k int) (*Trie, error) {
+	return NewWithOptions(u, k, Options{Combining: true})
+}
 
 // NewAdaptive is NewCombining with the construction-time decision moved to
 // runtime: every shard gets a combiner AND an adapt.Controller, and each
@@ -267,10 +269,6 @@ func NewWithOptions(u int64, k int, o Options) (*Trie, error) {
 		}
 	}
 	return t, nil
-}
-
-func newTrie(u int64, k int, combining bool, acfg *adapt.Config) (*Trie, error) {
-	return NewWithOptions(u, k, Options{Combining: combining, Adaptive: acfg})
 }
 
 // U returns the (padded) universe size.

@@ -23,7 +23,7 @@ import (
 // corresponding subtrie contains a key. Leaves are &present. Following the
 // augmentation of Fatourou–Ruppert ([27] in the paper's §3), every version
 // node carries the number of keys in its subtrie, which snapshots for free
-// with the structure and yields O(log u) Size, Rank, Select and RangeCount.
+// with the structure: Snapshot.Count reads it at the root.
 type node struct {
 	left, right *node
 	count       int64

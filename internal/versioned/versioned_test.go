@@ -1,6 +1,7 @@
 package versioned_test
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -132,4 +133,56 @@ func TestSnapshotEmpty(t *testing.T) {
 		t.Fatalf("Count = %d, want 0", snap.Count())
 	}
 	snap.ForEach(func(k int64) { t.Fatalf("emitted %d from empty snapshot", k) })
+}
+
+// TestSnapshotAtomicity: under churn that keeps the set size invariant
+// (insert one key, delete it again), every snapshot is one consistent
+// version — its count and its walk agree on 64 or 65 keys, and the walk
+// is strictly ascending.
+func TestSnapshotAtomicity(t *testing.T) {
+	tr, err := versioned.New(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < 64; k++ {
+		tr.Insert(k)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(9))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				k := 64 + rng.Int63n(64)
+				tr.Insert(k)
+				tr.Delete(k)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 5000; i++ {
+		snap := tr.Snapshot()
+		n := snap.Count()
+		if n < 64 || n > 65 {
+			t.Fatalf("Count = %d, want 64 or 65", n)
+		}
+		var keys []int64
+		snap.ForEach(func(k int64) { keys = append(keys, k) })
+		if int64(len(keys)) != n {
+			t.Fatalf("walk emitted %d keys, snapshot counts %d", len(keys), n)
+		}
+		for j := 1; j < len(keys); j++ {
+			if keys[j] <= keys[j-1] {
+				t.Fatalf("snapshot keys not ascending at %d: %v", j, keys[j-1:j+1])
+			}
+		}
+	}
 }

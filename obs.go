@@ -1,6 +1,6 @@
 // Facade half of the unified observability layer (internal/obs): the
 // functional options, the per-trie metric/trace state, the instrumentation
-// hooks New threads through every backend configuration, and the exported
+// hooks New attaches to every shard of the backend, and the exported
 // surface — MetricsSnapshot, Events, Stats.
 //
 // Cost model (DESIGN.md §Observability): with observability on (the
@@ -142,26 +142,21 @@ func newObsState(cfg *config) *obsState {
 	return o
 }
 
-// instrumentCore attaches the shared Stats structs and the event ring to
-// one core shard. Must run before the shard sees concurrent use (the
-// attach points are plain stores): New instruments tables while they are
-// still private.
-func (o *obsState) instrumentCore(c *core.Trie, shard int32) {
-	c.SetStats(o.coreStats)
-	if o.bitsStats != nil {
-		c.Bits().SetStats(o.bitsStats)
-	}
-	c.Reclaimer().SetEvents(o.ring, shard)
-}
-
-// instrumentSharded wires every shard of one sharded table: core stats,
-// EBR trace, and — where the configuration built them — the per-shard
-// combiner and adaptive-controller traces.
+// instrumentSharded wires every shard of one sharded table: the shared
+// core and descent Stats structs, the EBR trace, and — where the
+// configuration built them — the per-shard combiner and adaptive-controller
+// traces. Must run before the table sees concurrent use (the attach points
+// are plain stores): New instruments the table while it is still private.
 func (o *obsState) instrumentSharded(t *sharded.Trie) {
 	for i := 0; i < t.Shards(); i++ {
-		o.instrumentCore(t.Shard(i), int32(i))
-		if c := t.ShardCombiner(i); c != nil {
-			c.SetEvents(o.ring, int32(i))
+		c := t.Shard(i)
+		c.SetStats(o.coreStats)
+		if o.bitsStats != nil {
+			c.Bits().SetStats(o.bitsStats)
+		}
+		c.Reclaimer().SetEvents(o.ring, int32(i))
+		if comb := t.ShardCombiner(i); comb != nil {
+			comb.SetEvents(o.ring, int32(i))
 		}
 		if ctl := t.ShardController(i); ctl != nil {
 			ctl.SetEvents(o.ring, int32(i))
@@ -171,28 +166,16 @@ func (o *obsState) instrumentSharded(t *sharded.Trie) {
 
 // eachCore visits the trie's core shards.
 func (t *Trie) eachCore(fn func(*core.Trie)) {
-	switch s := t.set.(type) {
-	case *combine.CoreSet:
-		fn(s.Core())
-	case *sharded.Trie:
-		for i := 0; i < s.Shards(); i++ {
-			fn(s.Shard(i))
-		}
+	for i := 0; i < t.st.Shards(); i++ {
+		fn(t.st.Shard(i))
 	}
 }
 
 // eachCombiner visits the trie's combiners (none when combining is off).
 func (t *Trie) eachCombiner(fn func(*combine.Combiner)) {
-	switch s := t.set.(type) {
-	case *combine.CoreSet:
-		if c := s.Combiner(); c != nil {
+	for i := 0; i < t.st.Shards(); i++ {
+		if c := t.st.ShardCombiner(i); c != nil {
 			fn(c)
-		}
-	case *sharded.Trie:
-		for i := 0; i < s.Shards(); i++ {
-			if c := s.ShardCombiner(i); c != nil {
-				fn(c)
-			}
 		}
 	}
 }
@@ -245,7 +228,7 @@ func (t *Trie) registerObsGauges() {
 	}
 
 	// Combining layer.
-	if t.combining {
+	if t.st.Combining() {
 		r.Gauge("combine.rounds", func() int64 { return t.combineTotals().Rounds })
 		r.Gauge("combine.batched", func() int64 { return t.combineTotals().Batched })
 		r.Gauge("combine.direct", func() int64 { return t.combineTotals().Direct })
@@ -253,7 +236,7 @@ func (t *Trie) registerObsGauges() {
 		r.Gauge("combine.retracts", func() int64 { return t.combineTotals().Retracts })
 		r.Gauge("combine.elect_fails", func() int64 { return t.combineTotals().ElectFails })
 	}
-	if t.adaptive {
+	if t.st.Adaptive() {
 		r.Gauge("adaptive.enables", func() int64 { e, _ := t.AdaptiveStats(); return e })
 		r.Gauge("adaptive.disables", func() int64 { _, d := t.AdaptiveStats(); return d })
 	}
@@ -272,7 +255,7 @@ func (t *Trie) registerObsGauges() {
 
 	// The trie itself, and the ring's own loss accounting.
 	r.Gauge("trie.len", t.set.Len)
-	r.Gauge("trie.shards", func() int64 { return int64(t.shards) })
+	r.Gauge("trie.shards", func() int64 { return int64(t.st.Shards()) })
 	r.Gauge("events.dropped", o.ring.Dropped)
 }
 

@@ -41,10 +41,6 @@ func TestWithPlacementHintValidation(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
-			// The relaxed constructor shares the validation.
-			if _, err := lockfreetrie.NewRelaxed(1024, tc.opts...); err == nil {
-				t.Fatal("NewRelaxed accepted an invalid placement configuration")
-			}
 		})
 	}
 }
@@ -82,8 +78,8 @@ func TestWithPlacementHintAccessor(t *testing.T) {
 	}
 }
 
-// A placed k=1 trie routes through the sharded machinery but keeps the
-// facade contract: full insert/delete/predecessor behaviour.
+// A placed k=1 trie keeps the facade contract: full
+// insert/delete/predecessor behaviour.
 func TestWithPlacementHintSingleShard(t *testing.T) {
 	tr, err := lockfreetrie.New(256, lockfreetrie.WithCombining(),
 		lockfreetrie.WithPlacementHint([]int{0}))

@@ -11,10 +11,11 @@
 //
 // All operations are linearizable (the sharded variant's one narrow
 // exception is documented at WithShards). The package also exposes the
-// paper's §4
-// building block as Relaxed: a wait-free trie whose predecessor query may
-// abstain (return ok=false) while updates are in flight, but answers
-// exactly whenever the relevant keys are quiescent.
+// paper's §4 building block as Relaxed: a wait-free trie whose predecessor
+// query may abstain (return ok=false) while updates are in flight, but
+// answers exactly whenever the relevant keys are quiescent. Relaxed is
+// always one unsharded trie; the sharding and combining options below
+// apply to Trie only.
 //
 // # Quick start
 //
@@ -71,13 +72,12 @@ func (e *KeyRangeError) Error() string {
 
 // config collects the functional options of New and NewRelaxed.
 type config struct {
-	shards       int
-	combining    bool
-	adaptive     bool
-	acfg         adapt.Config
-	noCompress   bool
-	placement    []int
-	placementSet bool
+	shards     int
+	combining  bool
+	adaptive   bool
+	acfg       adapt.Config
+	noCompress bool
+	placement  []int // WithPlacementHint copy; nil when unplaced
 	// Observability options (obs.go). latEvery 0 selects the default
 	// sampling cadence.
 	obsOff       bool
@@ -304,15 +304,14 @@ func WithPlacementHint(owners []int) Option {
 			return fmt.Errorf("lockfreetrie: WithPlacementHint: empty hint (one group id per shard required)")
 		}
 		c.placement = append([]int(nil), owners...)
-		c.placementSet = true
 		return nil
 	}
 }
 
 // validatePlacement checks the placement hint against the rest of the
-// resolved configuration (shared by New and NewRelaxed).
+// resolved configuration.
 func (c *config) validatePlacement() error {
-	if !c.placementSet {
+	if c.placement == nil {
 		return nil
 	}
 	if !c.combining && !c.adaptive {
@@ -324,9 +323,9 @@ func (c *config) validatePlacement() error {
 	return nil
 }
 
-// set is the backend contract shared by the (wrapped) core trie and the
-// sharded façade; the exported API layers key validation and the composed
-// operations (Floor, Max, Range, Keys, Ceiling) on top of it.
+// set is the backend contract the exported API layers key validation and
+// the composed operations (Floor, Max, Range, Keys, Ceiling) on top of: the
+// sharded table itself, or the durable wrapper around it.
 type set interface {
 	Search(x int64) bool
 	Insert(x int64)
@@ -338,42 +337,24 @@ type set interface {
 	U() int64
 }
 
-// adaptiveStats is the optional backend interface behind
-// Trie.AdaptiveStats.
-type adaptiveStats interface {
-	AdaptiveStats() (enables, disables int64)
-}
-
 // Trie is a lock-free linearizable binary trie. All methods are safe for
 // concurrent use by any number of goroutines. Create instances with New.
 type Trie struct {
-	set       set
-	shards    int
-	combining bool
-	adaptive  bool
-	placement []int     // WithPlacementHint copy; nil when unplaced
-	obs       *obsState // nil under WithoutObservability
-	wal       *wal.Log  // non-nil under WithDurability
-	recovery  RecoveryStats
-}
-
-// shardedOptions translates the combining/adaptive/placement options into
-// the sharded layer's construction options.
-func (c *config) shardedOptions() sharded.Options {
-	o := sharded.Options{Combining: c.combining}
-	if c.adaptive {
-		acfg := c.acfg
-		o.Adaptive = &acfg
-	}
-	if c.placementSet {
-		o.Placement = c.placement
-	}
-	return o
+	set      set           // st, or the write-ahead wrapper around it
+	st       *sharded.Trie // the backend at every shard count
+	obs      *obsState     // nil under WithoutObservability
+	wal      *wal.Log      // non-nil under WithDurability
+	recovery RecoveryStats
 }
 
 // newSharded builds the k-shard table carrying the configured options.
 func (c *config) newSharded(universe int64, k int) (*sharded.Trie, error) {
-	t, err := sharded.NewWithOptions(universe, k, c.shardedOptions())
+	o := sharded.Options{Combining: c.combining, Placement: c.placement}
+	if c.adaptive {
+		acfg := c.acfg
+		o.Adaptive = &acfg
+	}
+	t, err := sharded.NewWithOptions(universe, k, o)
 	if err != nil {
 		return nil, err
 	}
@@ -391,8 +372,9 @@ func (c *config) newSharded(universe int64, k int) (*sharded.Trie, error) {
 // must be at least 2 and at most MaxUniverse; it is padded to the next
 // power of two (visible via Universe()). Memory is Θ(universe).
 //
-// With no options the trie is the paper's single lock-free binary trie;
-// WithShards(k) partitions the universe across k independent tries.
+// With no options the trie is the paper's single lock-free binary trie,
+// held as a one-shard table; WithShards(k) partitions the universe across
+// k independent tries.
 func New(universe int64, opts ...Option) (*Trie, error) {
 	cfg := config{shards: 1}
 	for _, opt := range opts {
@@ -406,117 +388,63 @@ func New(universe int64, opts ...Option) (*Trie, error) {
 	if err := cfg.validateObservability(); err != nil {
 		return nil, err
 	}
-	// Observability is on by default; every path below instruments its
-	// tables while they are still private (plain-store attach points),
-	// then finish wires the gauges over the assembled backend.
-	var o *obsState
-	if !cfg.obsOff {
-		o = newObsState(&cfg)
-	}
-	finish := func(t *Trie) (*Trie, error) {
-		// Durability wraps the assembled backend before anything reads
-		// it: recovery seeds the unwrapped set (not re-logged), then the
-		// write-ahead wrapper interposes on every later update.
-		if cfg.dur != nil {
-			if err := t.attachDurability(cfg.dur); err != nil {
-				return nil, err
-			}
-		}
-		t.obs = o
-		if o != nil {
-			t.registerObsGauges()
-		}
-		return t, nil
-	}
-	// A placed k=1 trie still needs the sharded machinery (arena carve,
-	// sticky combiner), so placement always routes through newSharded.
-	if cfg.shards == 1 && !cfg.placementSet {
-		c, err := core.New(universe)
-		if err != nil {
-			return nil, fmt.Errorf("lockfreetrie: %w", err)
-		}
-		if cfg.noCompress {
-			c.Bits().SetCompressedDescents(false)
-		}
-		var s set
-		if cfg.adaptive {
-			cs := combine.WrapCoreAdaptive(c, cfg.acfg, 0)
-			if o != nil {
-				cs.Combiner().SetEvents(o.ring, 0)
-				cs.Controller().SetEvents(o.ring, 0)
-			}
-			s = cs
-		} else {
-			cs := combine.WrapCore(c, cfg.combining, 0)
-			if o != nil && cs.Combiner() != nil {
-				cs.Combiner().SetEvents(o.ring, 0)
-			}
-			s = cs
-		}
-		if o != nil {
-			o.instrumentCore(c, 0)
-		}
-		return finish(&Trie{
-			set:       s,
-			shards:    1,
-			combining: cfg.combining || cfg.adaptive,
-			adaptive:  cfg.adaptive,
-		})
-	}
 	st, err := cfg.newSharded(universe, cfg.shards)
 	if err != nil {
 		return nil, fmt.Errorf("lockfreetrie: %w", err)
 	}
-	if o != nil {
-		o.instrumentSharded(st)
+	t := &Trie{set: st, st: st}
+	// Observability is on by default: the table is instrumented while it
+	// is still private (plain-store attach points), and the gauges are
+	// wired once the backend is assembled.
+	if !cfg.obsOff {
+		t.obs = newObsState(&cfg)
+		t.obs.instrumentSharded(st)
 	}
-	return finish(&Trie{set: st, shards: cfg.shards,
-		combining: cfg.combining || cfg.adaptive, adaptive: cfg.adaptive,
-		placement: cfg.placement})
+	// Durability wraps the assembled backend before anything reads it:
+	// recovery seeds the unwrapped table (not re-logged), then the
+	// write-ahead wrapper interposes on every later update.
+	if cfg.dur != nil {
+		if err := t.attachDurability(cfg.dur); err != nil {
+			return nil, err
+		}
+	}
+	if t.obs != nil {
+		t.registerObsGauges()
+	}
+	return t, nil
 }
 
 // PlacementHint returns a copy of the WithPlacementHint owners slice, or
 // nil when the trie is unplaced.
-func (t *Trie) PlacementHint() []int {
-	if t.placement == nil {
-		return nil
-	}
-	return append([]int(nil), t.placement...)
-}
+func (t *Trie) PlacementHint() []int { return t.st.Placement() }
 
 // Universe returns the padded universe size 2^⌈log₂ u⌉.
-func (t *Trie) Universe() int64 { return t.set.U() }
+func (t *Trie) Universe() int64 { return t.st.U() }
 
 // Shards returns the configured shard count (1 for the unsharded trie).
-func (t *Trie) Shards() int { return t.shards }
+func (t *Trie) Shards() int { return t.st.Shards() }
 
 // Combining reports whether the trie has a combining layer (WithCombining
 // or WithAdaptiveCombining).
-func (t *Trie) Combining() bool { return t.combining }
+func (t *Trie) Combining() bool { return t.st.Combining() }
 
 // AdaptiveCombining reports whether WithAdaptiveCombining was set.
-func (t *Trie) AdaptiveCombining() bool { return t.adaptive }
+func (t *Trie) AdaptiveCombining() bool { return t.st.Adaptive() }
 
 // AdaptiveStats returns the cumulative mode-transition counts summed over
 // all shards: enables (direct→combining flips) and disables (the
 // reverse). Zeros unless WithAdaptiveCombining was set.
-func (t *Trie) AdaptiveStats() (enables, disables int64) {
-	if a, ok := t.set.(adaptiveStats); ok {
-		return a.AdaptiveStats()
-	}
-	return 0, 0
-}
+func (t *Trie) AdaptiveStats() (enables, disables int64) { return t.st.AdaptiveStats() }
 
-// Len returns the number of keys currently in the set. O(1) on the
-// unsharded trie, O(shards) with WithShards (it sums the per-shard
-// occupancy summary).
+// Len returns the number of keys currently in the set. O(shards): it sums
+// the per-shard occupancy summary (one counter on the unsharded trie).
 //
 // Consistency: Len is weakly consistent, like sync.Map's length-by-Range.
 // Each winning update bumps a counter adjacent to — not atomic with — its
 // linearization point, so a Len racing with updates may be off by the
-// number of in-flight operations (with WithShards it may also transiently
-// over-count, since a shard's insert increments before the core operation
-// and rolls back on a lost race). At any quiescent instant — no update in
+// number of in-flight operations, and it may transiently over-count: an
+// insert increments its shard's counter before the core operation and
+// rolls back on a lost race. At any quiescent instant — no update in
 // flight — Len is exactly |S|. Use Keys and count when an exact answer
 // under concurrency is needed, or the versioned snapshot trie for an
 // atomic view.

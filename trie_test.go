@@ -2,6 +2,7 @@ package lockfreetrie_test
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -48,9 +49,6 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := lockfreetrie.New(4, lockfreetrie.WithShards(4)); err == nil {
 		t.Error("WithShards(4) over universe 4 accepted (width < 2)")
 	}
-	if _, err := lockfreetrie.NewRelaxed(64, lockfreetrie.WithShards(3)); err == nil {
-		t.Error("relaxed WithShards(3) accepted (not a power of two)")
-	}
 }
 
 // TestShardedFacadeLifecycle re-runs the basic lifecycle through the
@@ -85,29 +83,6 @@ func TestShardedFacadeLifecycle(t *testing.T) {
 	tr.Delete(10)
 	if got, _ := tr.Max(); got != -1 {
 		t.Errorf("Max on empty = %d, want -1", got)
-	}
-}
-
-// TestShardedRelaxedFacade drives the sharded relaxed backend through the
-// public API at quiescence.
-func TestShardedRelaxedFacade(t *testing.T) {
-	tr, err := lockfreetrie.NewRelaxed(64, lockfreetrie.WithShards(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Shards() != 8 {
-		t.Errorf("Shards = %d, want 8", tr.Shards())
-	}
-	tr.Insert(5)
-	tr.Insert(40)
-	if pred, ok, err := tr.Predecessor(40); err != nil || !ok || pred != 5 {
-		t.Errorf("Predecessor(40) = (%d,%v,%v), want (5,true,nil)", pred, ok, err)
-	}
-	if succ, ok, err := tr.Successor(5); err != nil || !ok || succ != 40 {
-		t.Errorf("Successor(5) = (%d,%v,%v), want (40,true,nil)", succ, ok, err)
-	}
-	if _, _, err := tr.Successor(99); err == nil {
-		t.Error("Successor(99) should fail")
 	}
 }
 
@@ -320,20 +295,52 @@ func TestLenFacadeQuiescentAfterConcurrency(t *testing.T) {
 
 // TestRelaxedLenFacade mirrors TestLenFacade for the relaxed trie.
 func TestRelaxedLenFacade(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		tr, err := lockfreetrie.NewRelaxed(256, lockfreetrie.WithShards(shards))
-		if err != nil {
-			t.Fatal(err)
+	tr, err := lockfreetrie.NewRelaxed(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < 60; k++ {
+		tr.Insert(k)
+	}
+	tr.Insert(10)
+	for k := int64(0); k < 20; k++ {
+		tr.Delete(k)
+	}
+	if got := tr.Len(); got != 40 {
+		t.Fatalf("relaxed Len = %d, want 40", got)
+	}
+}
+
+// TestNewRelaxedRejectsOptions: the relaxed trie is one unsharded §4 trie,
+// so every option that would shard, combine, place or log it is an error
+// naming the option, while the options that still apply are accepted.
+func TestNewRelaxedRejectsOptions(t *testing.T) {
+	cases := []struct {
+		opt  lockfreetrie.Option
+		want string
+	}{
+		{lockfreetrie.WithShards(4), "WithShards(4)"},
+		{lockfreetrie.WithCombining(), "WithCombining"},
+		{lockfreetrie.WithAdaptiveCombining(), "WithAdaptiveCombining"},
+		{lockfreetrie.WithPlacementHint([]int{0}), "WithPlacementHint"},
+		{lockfreetrie.WithDurability(t.TempDir()), "WithDurability"},
+	}
+	for _, tc := range cases {
+		_, err := lockfreetrie.NewRelaxed(1<<10, tc.opt)
+		if err == nil {
+			t.Fatalf("NewRelaxed accepted %s", tc.want)
 		}
-		for k := int64(0); k < 60; k++ {
-			tr.Insert(k)
+		if !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "NewRelaxed") {
+			t.Fatalf("error %q does not name %s and NewRelaxed", err, tc.want)
 		}
-		tr.Insert(10)
-		for k := int64(0); k < 20; k++ {
-			tr.Delete(k)
-		}
-		if got := tr.Len(); got != 40 {
-			t.Fatalf("shards=%d: relaxed Len = %d, want 40", shards, got)
-		}
+	}
+	tr, err := lockfreetrie.NewRelaxed(1<<10, lockfreetrie.WithShards(1),
+		lockfreetrie.WithoutCompressedDescents(), lockfreetrie.WithLatencySampling(8))
+	if err != nil {
+		t.Fatalf("NewRelaxed rejected the options that apply: %v", err)
+	}
+	tr.Insert(100)
+	if p, ok, _ := tr.Predecessor(500); !ok || p != 100 {
+		t.Fatalf("Predecessor(500) = (%d,%v), want (100,true)", p, ok)
 	}
 }
