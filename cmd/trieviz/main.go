@@ -114,8 +114,6 @@ func renderLockFree(u int64, keys []int64) error {
 		state := "DEL (never inserted)"
 		if tr.Search(k) {
 			state = "INS"
-		} else if d := bits.DNodePtr(bits.LeafIndex(k)); d != nil {
-			state = d.String()
 		}
 		fmt.Printf("  latest[%d] -> %s\n", k, state)
 	}

@@ -9,16 +9,22 @@
 // implementation of these helper functions ... will be replaced with a
 // different implementation when we consider the lock-free binary trie").
 //
-// Trie layout: the paper's arrays D_0..D_b form a perfect binary tree; we
-// store them heap-indexed in one slice (index 1 = root, children 2i/2i+1,
-// leaf for key x at 2^b + x). A node's height is b − depth, computable from
-// the index, so a trie node is exactly one atomic pointer: dNodePtr.
+// Trie layout: the paper's arrays D_0..D_b form a perfect binary tree,
+// addressed heap-style (index 1 = root, children 2i/2i+1, leaf for key x
+// at 2^b + x). A node's height is b − depth, computable from the index, so
+// a trie node is exactly one atomic pointer: dNodePtr. Only the internal
+// nodes 1..2^b−1 are stored. A leaf's dNodePtr is never written
+// (DeleteBinaryTrie steps to the parent before its CAS and
+// InsertBinaryTrie starts at the leaf's parent), so it stays the initial
+// nil forever and a leaf depends on its own key's latest list; the engine
+// computes that instead of storing 2^b nil pointers.
 package bitstrie
 
 import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/atomicx"
 	"repro/internal/bitmap"
@@ -27,11 +33,17 @@ import (
 
 // Oracle resolves the latest-list operations the engine depends on.
 //
-// FindLatest returns the first activated update node in the latest[x] list;
-// it must materialize and return the dummy DEL node if no operation ever
-// updated x. FirstActivated reports whether n is currently the first
-// activated update node in latest[n.Key].
+// PeekLatest returns the first activated update node in the latest[x]
+// list, or nil if no operation ever touched x. Nil stands for the paper's
+// initial dummy DEL node (upper0Boundary = b, lower1Boundary = b+1): only
+// an insert's MinWrite changes a dummy, and that insert materializes it
+// first, so a reader that loads nil sees what the dummy held at the load.
+// FindLatest is PeekLatest that materializes and returns the dummy DEL
+// node instead of nil; only InsertBinaryTrie calls it, because its
+// MinWrite needs the published node. FirstActivated reports whether n is
+// currently the first activated update node in latest[n.Key].
 type Oracle interface {
+	PeekLatest(x int64) *unode.UpdateNode
 	FindLatest(x int64) *unode.UpdateNode
 	FirstActivated(n *unode.UpdateNode) bool
 }
@@ -85,7 +97,7 @@ type Trie struct {
 	// selects the paper-literal traversals for the cc1 baseline).
 	compressed bool
 
-	nodes []trieNode // heap-indexed, len 2*size; index 0 unused
+	nodes []trieNode // internal nodes, heap-indexed, len size; index 0 unused
 
 	// summary[k] is the ever-inserted occupancy summary at granularity
 	// 64^k: bit g of level k is 1 iff some key in [g·64^k, (g+1)·64^k) has
@@ -119,7 +131,7 @@ func New(u int64, oracle Oracle) (*Trie, error) {
 		size:       size,
 		oracle:     oracle,
 		compressed: true,
-		nodes:      make([]trieNode, 2*size),
+		nodes:      make([]trieNode, size),
 	}
 	// Build the summary hierarchy: level 0 has one bit per key; each level
 	// above compresses 64 bits into one until a level fits one word.
@@ -186,8 +198,12 @@ func (t *Trie) leftmostKey(i int64) int64 {
 
 // depKey returns the key whose latest list the interpreted bit of node i
 // depends on: dNodePtr's key, or the leftmost leaf key when dNodePtr is
-// still the initial (virtual dummy) nil.
+// still the initial (virtual dummy) nil. A leaf's dNodePtr is nil forever
+// and not stored, so a leaf depends on its own key.
 func (t *Trie) depKey(i int64) int64 {
+	if i >= t.size {
+		return t.leafKey(i)
+	}
 	if d := t.nodes[i].dNodePtr.Load(); d != nil {
 		return d.Key
 	}
@@ -202,7 +218,10 @@ func (t *Trie) InterpretedBit(i int64) int {
 	if t.stats != nil {
 		t.stats.BitReads.Add(1)
 	}
-	uNode := t.oracle.FindLatest(t.depKey(i))
+	uNode := t.oracle.PeekLatest(t.depKey(i))
+	if uNode == nil {
+		return 0 // the untouched initial dummy DEL node
+	}
 	if uNode.Kind == unode.Ins {
 		return 1
 	}
@@ -222,8 +241,10 @@ func (t *Trie) InterpretedBitOfLeaf(x int64) int { return t.InterpretedBit(t.lea
 
 // InsertBinaryTrie walks from the parent of iNode's leaf to the root and
 // ensures each node on the path has interpreted bit 1, by lowering the
-// lower1Boundary of the DEL node the trie node depends on. Wait-free: at
-// most b iterations with a constant number of steps each.
+// lower1Boundary of the DEL node the trie node depends on. It is the one
+// caller of FindLatest: an untouched key's dummy DEL node must be
+// published before the MinWrite can lower it. Wait-free: at most b
+// iterations with a constant number of steps each.
 func (t *Trie) InsertBinaryTrie(iNode *unode.UpdateNode) {
 	for i := parent(t.leafIndex(iNode.Key)); i >= 1; i = parent(i) {
 		uNode := t.oracle.FindLatest(t.depKey(i))
@@ -649,11 +670,23 @@ func (t *Trie) relaxedSuccessorDense(y int64) (int64, bool) {
 	return t.leafKey(i), true
 }
 
-// DNodePtr exposes node i's dNodePtr for tests and trieviz.
-func (t *Trie) DNodePtr(i int64) *unode.UpdateNode { return t.nodes[i].dNodePtr.Load() }
+// DNodePtr exposes node i's dNodePtr for tests; a leaf's is always nil.
+func (t *Trie) DNodePtr(i int64) *unode.UpdateNode {
+	if i >= t.size {
+		return nil
+	}
+	return t.nodes[i].dNodePtr.Load()
+}
 
-// LeafIndex exposes the leaf index of key x for tests and trieviz.
-func (t *Trie) LeafIndex(x int64) int64 { return t.leafIndex(x) }
+// FixedBytes returns the bytes New allocated in proportion to the
+// universe: the internal nodes' dNodePtr slots and the summary words.
+func (t *Trie) FixedBytes() int64 {
+	n := int64(len(t.nodes)) * int64(unsafe.Sizeof(trieNode{}))
+	for _, lvl := range t.summary {
+		n += int64(len(lvl)) * int64(unsafe.Sizeof(lvl[0]))
+	}
+	return n
+}
 
 // Height exposes the height of node index i for tests and trieviz.
 func (t *Trie) Height(i int64) int { return t.height(i) }

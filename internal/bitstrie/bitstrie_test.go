@@ -8,8 +8,9 @@ import (
 )
 
 // scriptOracle is a deterministic oracle for white-box engine tests. latest
-// maps keys to update nodes; missing keys materialize dummies like the real
-// data structures do. notFirst marks nodes FirstActivated must reject.
+// maps keys to update nodes; FindLatest materializes dummies for missing
+// keys like the real data structures do, and PeekLatest returns nil for
+// them. notFirst marks nodes FirstActivated must reject.
 type scriptOracle struct {
 	mu       sync.Mutex
 	b        int
@@ -24,6 +25,12 @@ func newScriptOracle(b int) *scriptOracle {
 		latest:   make(map[int64]*unode.UpdateNode),
 		notFirst: make(map[*unode.UpdateNode]bool),
 	}
+}
+
+func (o *scriptOracle) PeekLatest(x int64) *unode.UpdateNode {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.latest[x]
 }
 
 func (o *scriptOracle) FindLatest(x int64) *unode.UpdateNode {

@@ -124,18 +124,21 @@ func (t *Trie) ApplyBatch(ops []BatchOp) {
 	// held across ops (b.nodes) are this batch's own freshly-allocated
 	// nodes, not pool-managed memory.
 
-	// --- Phase 1: prepare. findLatest both classifies obvious no-ops
-	// (those ops linearize here, at the read) and yields the node the
-	// phase-3 CAS will expect. Unpinned, like the per-op fast path.
+	// --- Phase 1: prepare. The latest-list read both classifies obvious
+	// no-ops (those ops linearize here, at the read) and yields the node
+	// the phase-3 CAS will expect. Deletes read without materializing a
+	// dummy, as Remove does. Unpinned, like the per-op fast path.
 	for i := range ops {
 		ops[i].Won = false
-		cur := t.findLatest(ops[i].Key)
+		var cur *unode.UpdateNode
 		if ops[i].Del {
-			if cur.Kind != unode.Ins {
+			cur = t.peekLatest(ops[i].Key)
+			if cur == nil || cur.Kind != unode.Ins {
 				continue // absent: Delete is a no-op
 			}
 			b.nodes = append(b.nodes, unode.NewDel(ops[i].Key, t.b))
 		} else {
+			cur = t.findLatest(ops[i].Key)
 			if cur.Kind != unode.Del {
 				continue // present: Insert is a no-op
 			}
@@ -222,12 +225,11 @@ func (t *Trie) applyBatchedInsert(iNode, dNode *unode.UpdateNode, s *ebr.Slot) b
 	}
 	t.ruall.Insert(iNode, s)               // line 173 (U-ALL half done in phase 2)
 	iNode.Status.Store(unode.StatusActive) // line 174: linearization point
-	t.count.Add(1)
-	iNode.LatestNext.Store(nil)    // line 175
-	t.bits.InsertBinaryTrie(iNode) // line 176
-	t.notifyPredOps(iNode)         // line 177
-	iNode.Completed.Store(true)    // line 178
-	t.uall.Remove(iNode, s)        // line 179
+	iNode.LatestNext.Store(nil)            // line 175
+	t.bits.InsertBinaryTrie(iNode)         // line 176
+	t.notifyPredOps(iNode)                 // line 177
+	iNode.Completed.Store(true)            // line 178
+	t.uall.Remove(iNode, s)                // line 179
 	t.ruall.Remove(iNode, s)
 	return true
 }
@@ -242,7 +244,7 @@ func (t *Trie) applyBatchedDelete(dNode, iNode *unode.UpdateNode, s *ebr.Slot) b
 	x := dNode.Key
 	delPred, pNode1 := t.predHelper(x, s) // line 184: first embedded predecessor
 	dNode.DelPred = delPred
-	dNode.DelPredNode = pNode1
+	setDelPredNode(dNode, pNode1)
 	dNode.LatestNext.Store(iNode)
 	iNode.LatestNext.Store(nil) // line 190
 	t.notifyPredOps(iNode)      // line 191
@@ -251,9 +253,8 @@ func (t *Trie) applyBatchedDelete(dNode, iNode *unode.UpdateNode, s *ebr.Slot) b
 		t.pall.remove(pNode1, s)              // line 194: never published in dNode
 		return false
 	}
-	t.ruall.Insert(dNode, s)               // line 196 (U-ALL half done in phase 2)
-	dNode.Status.Store(unode.StatusActive) // line 197: linearization point
-	t.count.Add(-1)
+	t.ruall.Insert(dNode, s)                  // line 196 (U-ALL half done in phase 2)
+	dNode.Status.Store(unode.StatusActive)    // line 197: linearization point
 	if tg := iNode.Target.Load(); tg != nil { // line 198
 		tg.Stop.Store(true)
 	}

@@ -23,6 +23,7 @@ package core
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/alist"
 	"repro/internal/atomicx"
@@ -73,13 +74,6 @@ type Trie struct {
 	// PredNode holding an RU-ALL cell) inside a single grace argument.
 	dom   *ebr.Domain
 	stats *Stats
-	// count is the occupancy counter behind Len: incremented by the winning
-	// Insert and decremented by the winning Delete, each after its
-	// linearization point. Padded on BOTH sides — the leading pad keeps the
-	// write-hot counter off the cache line of the header fields every
-	// operation reads, PadInt64's trailing pad covers the other side.
-	_     [atomicx.CacheLine]byte
-	count atomicx.PadInt64
 }
 
 // New returns an empty lock-free binary trie over {0,…,u−1} (u ≥ 2, padded
@@ -117,12 +111,12 @@ func (t *Trie) Bits() *bitstrie.Trie { return t.bits }
 // concurrently with operations.
 func (t *Trie) SetStats(s *Stats) { t.stats = s }
 
-// Len returns the number of keys in the set, counted from the win-reporting
-// updates (O(1)). Weakly consistent: updates bump the counter shortly after
-// their linearization point, so a reader racing with updates may see a
-// count that is off by the number of in-flight operations; at quiescence it
-// is exact.
-func (t *Trie) Len() int64 { return t.count.Load() }
+// FixedBytes returns the bytes New allocated in proportion to the
+// universe: the latest array plus the engine's internal-node and summary
+// arrays (metrics; computed, not counted).
+func (t *Trie) FixedBytes() int64 {
+	return int64(len(t.latest))*int64(unsafe.Sizeof(t.latest[0])) + t.bits.FixedBytes()
+}
 
 // AnnouncedUpdates returns the current U-ALL occupancy (metrics; O(n)).
 // Pinned: the traversal touches pooled cells.
@@ -204,12 +198,11 @@ func (t *Trie) Add(x int64) bool {
 	t.uall.Insert(iNode, s) // line 173
 	t.ruall.Insert(iNode, s)
 	iNode.Status.Store(unode.StatusActive) // line 174: linearization point
-	t.count.Add(1)
-	iNode.LatestNext.Store(nil)    // line 175
-	t.bits.InsertBinaryTrie(iNode) // line 176
-	t.notifyPredOps(iNode)         // line 177
-	iNode.Completed.Store(true)    // line 178
-	t.uall.Remove(iNode, s)        // line 179
+	iNode.LatestNext.Store(nil)            // line 175
+	t.bits.InsertBinaryTrie(iNode)         // line 176
+	t.notifyPredOps(iNode)                 // line 177
+	iNode.Completed.Store(true)            // line 178
+	t.uall.Remove(iNode, s)                // line 179
 	t.ruall.Remove(iNode, s)
 	return true
 }
@@ -225,8 +218,8 @@ func (t *Trie) Delete(x int64) { t.Remove(x) }
 //
 // Precondition: 0 ≤ x < U().
 func (t *Trie) Remove(x int64) bool {
-	iNode := t.findLatest(x)
-	if iNode.Kind != unode.Ins {
+	iNode := t.peekLatest(x)
+	if iNode == nil || iNode.Kind != unode.Ins {
 		return false // x not in S
 	}
 	s := t.dom.Pin()
@@ -235,7 +228,7 @@ func (t *Trie) Remove(x int64) bool {
 	dNode := unode.NewDel(x, t.b)
 	dNode.LatestNext.Store(iNode)
 	dNode.DelPred = delPred
-	dNode.DelPredNode = pNode1
+	setDelPredNode(dNode, pNode1)
 	iNode.LatestNext.Store(nil) // line 190
 	t.notifyPredOps(iNode)      // line 191: help the previous Insert notify
 	if !t.latest[x].CompareAndSwap(iNode, dNode) {
@@ -249,7 +242,6 @@ func (t *Trie) Remove(x int64) bool {
 	t.uall.Insert(dNode, s) // line 196
 	t.ruall.Insert(dNode, s)
 	dNode.Status.Store(unode.StatusActive) // line 197: linearization point
-	t.count.Add(-1)
 	// Line 198: stop the Delete whose DEL node the replaced Insert was
 	// attacking; that Insert's MinWrite will not arrive on our behalf.
 	if tg := iNode.Target.Load(); tg != nil {

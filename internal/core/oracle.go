@@ -14,6 +14,10 @@ type oracle Trie
 
 var _ bitstrie.Oracle = (*oracle)(nil)
 
+func (o *oracle) PeekLatest(x int64) *unode.UpdateNode {
+	return (*Trie)(o).peekLatest(x)
+}
+
 func (o *oracle) FindLatest(x int64) *unode.UpdateNode {
 	return (*Trie)(o).findLatest(x)
 }
@@ -34,9 +38,26 @@ func (t *Trie) loadLatest(x int64) *unode.UpdateNode {
 }
 
 // findLatest returns the first activated update node in the latest[x] list
-// (paper lines 116–120, Lemma 5.4).
+// (paper lines 116–120, Lemma 5.4), materializing x's dummy DEL node on
+// first touch. Only insert paths call it: they need the published dummy as
+// their CAS expectation and MinWrite target.
 func (t *Trie) findLatest(x int64) *unode.UpdateNode {
-	uNode := t.loadLatest(x)
+	return firstActive(t.loadLatest(x))
+}
+
+// peekLatest is findLatest without materialization: nil stands for x's
+// untouched initial dummy DEL node (bitstrie.Oracle's PeekLatest). Readers
+// and deletes use it, so they never allocate or publish a dummy.
+func (t *Trie) peekLatest(x int64) *unode.UpdateNode {
+	if uNode := t.latest[x].Load(); uNode != nil {
+		return firstActive(uNode)
+	}
+	return nil
+}
+
+// firstActive resolves the head uNode of a latest list to the list's first
+// activated node.
+func firstActive(uNode *unode.UpdateNode) *unode.UpdateNode {
 	if uNode.Status.Load() == unode.StatusInactive {
 		if uNode2 := uNode.LatestNext.Load(); uNode2 != nil {
 			return uNode2

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/alist"
 	"repro/internal/ebr"
@@ -51,6 +52,16 @@ type PredNode struct {
 	linkRef predRef // {next: this node}; constant content
 	markRef predRef // owner-written marked ref
 }
+
+// setDelPredNode links DEL node d to the PredNode of its Delete's first
+// embedded predecessor (paper line 102). unode stores the link as an
+// untyped pointer, since it cannot import core; this pair of accessors is
+// the only place that converts it.
+func setDelPredNode(d *unode.UpdateNode, pn *PredNode) { d.DelPredNode = unsafe.Pointer(pn) }
+
+// delPredNode returns DEL node d's first-embedded-predecessor PredNode, or
+// nil.
+func delPredNode(d *unode.UpdateNode) *PredNode { return (*PredNode)(d.DelPredNode) }
 
 type predRef struct {
 	next   *PredNode

@@ -143,7 +143,7 @@ func (t *Trie) bottomCase(pNode *PredNode, q []*PredNode, druall []*unode.Update
 	// predNodes: first-embedded-predecessor announcements of Druall's
 	// deletes (line 232).
 	for _, d := range druall {
-		if pn, ok := d.DelPredNode.(*PredNode); ok && pn != nil {
+		if pn := delPredNode(d); pn != nil {
 			a.preds.add(pn, pn.key)
 		}
 	}

@@ -45,7 +45,7 @@ func delNode(key int64, b int, delPred, delPred2 int64, pn *PredNode) *unode.Upd
 	n := unode.NewDel(key, b)
 	n.Status.Store(unode.StatusActive)
 	n.DelPred = delPred
-	n.DelPredNode = pn
+	setDelPredNode(n, pn)
 	if delPred2 != unode.NoKey {
 		n.DelPred2.Store(delPred2)
 	}

@@ -67,8 +67,14 @@ type oracle Trie
 
 var _ bitstrie.Oracle = (*oracle)(nil)
 
-// FindLatest returns the update node pointed to by latest[x] (paper lines
-// 13–14), materializing the dummy DEL node on first touch (DESIGN.md).
+// PeekLatest returns the update node pointed to by latest[x] (paper lines
+// 13–14), or nil for the untouched initial dummy DEL node.
+func (o *oracle) PeekLatest(x int64) *unode.UpdateNode {
+	return (*Trie)(o).latest[x].Load()
+}
+
+// FindLatest is PeekLatest materializing the dummy DEL node on first touch
+// (DESIGN.md); only InsertBinaryTrie calls it.
 func (o *oracle) FindLatest(x int64) *unode.UpdateNode {
 	return (*Trie)(o).findLatest(x)
 }
@@ -149,9 +155,9 @@ func (t *Trie) Delete(x int64) { t.Remove(x) }
 //
 // Precondition: 0 ≤ x < U().
 func (t *Trie) Remove(x int64) bool {
-	iNode := t.findLatest(x)
-	if iNode.Kind != unode.Ins {
-		return false // x not in S
+	iNode := t.latest[x].Load()
+	if iNode == nil || iNode.Kind != unode.Ins {
+		return false // x not in S (nil: never touched, no dummy needed)
 	}
 	dNode := unode.NewDel(x, t.b)
 	dNode.Status.Store(unode.StatusActive)

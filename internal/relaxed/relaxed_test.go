@@ -362,3 +362,20 @@ func TestBottomOnlyUnderContention(t *testing.T) {
 	}
 	checkQuiescent(t, tr, want)
 }
+
+// TestRemoveUntouchedKeyAllocatesNothing: deleting a key no operation ever
+// touched reads latest[x] as nil, the initial dummy, and returns without
+// materializing a dummy DEL node.
+func TestRemoveUntouchedKeyAllocatesNothing(t *testing.T) {
+	tr := newTrie(t, 1<<12)
+	x := int64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if tr.Remove(x) {
+			t.Fatalf("Remove(%d) of an untouched key won", x)
+		}
+		x++
+	})
+	if allocs != 0 {
+		t.Fatalf("Remove of an untouched key: %v allocs, want 0", allocs)
+	}
+}

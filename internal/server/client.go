@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // RemoteError is an operation error reported by the server (e.g. a key
@@ -212,7 +214,7 @@ func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	buf := make([]byte, 0, 4096)
 	for {
-		p, err := readFrame(br, buf, maxFrame)
+		p, err := wire.ReadFrame(br, buf, maxFrame)
 		if err != nil {
 			// Propagate a close REASON, not a bare EOF: the caller whose
 			// Insert fails wants to know the peer hung up mid-call.

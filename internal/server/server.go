@@ -10,6 +10,7 @@ import (
 
 	lockfreetrie "repro"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Config tunes one Server.
@@ -248,7 +249,7 @@ func (c *conn) readLoop() {
 			}
 			arrival = time.Now()
 		}
-		p, err := readFrame(br, buf, maxRequestFrame)
+		p, err := wire.ReadFrame(br, buf, maxRequestFrame)
 		if err != nil {
 			break
 		}

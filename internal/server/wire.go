@@ -19,7 +19,6 @@ package server
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/wire"
 )
@@ -68,17 +67,6 @@ type request struct {
 	id  uint64
 	key int64
 	hi  int64
-}
-
-// readFrame reads one length-prefixed frame into buf (grown as needed)
-// and returns the payload (the shared wire codec).
-func readFrame(r io.Reader, buf []byte, limit int) ([]byte, error) {
-	return wire.ReadFrame(r, buf, limit)
-}
-
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	return wire.WriteFrame(w, payload)
 }
 
 // decodeRequest parses a request payload.

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // TestWireRequestRoundTrip: every opcode survives encode→decode.
@@ -16,13 +19,13 @@ func TestWireRequestRoundTrip(t *testing.T) {
 		{op: opSuccessor, id: 4, key: 9},
 		{op: opRange, id: 5, key: 10, hi: 20},
 	}
-	var wire []byte
+	var buf []byte
 	for _, r := range reqs {
-		wire = encodeRequest(wire, r)
+		buf = encodeRequest(buf, r)
 	}
-	rd := bytes.NewReader(wire)
+	rd := bufio.NewReader(bytes.NewReader(buf))
 	for i, want := range reqs {
-		p, err := readFrame(rd, nil, maxRequestFrame)
+		p, err := wire.ReadFrame(rd, nil, maxRequestFrame)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -39,16 +42,16 @@ func TestWireRequestRoundTrip(t *testing.T) {
 // TestWireResponseRoundTrip: each response shape survives encode→decode,
 // including negative values (Predecessor's −1) and multi-key chunks.
 func TestWireResponseRoundTrip(t *testing.T) {
-	var wire []byte
-	wire = encodeValueResponse(wire, 7, -1)
-	wire = encodeErrResponse(wire, 8, &RemoteError{Msg: "key 99 outside universe"})
-	wire = encodeRangeChunk(wire, 9, []int64{30, 20, 10})
-	wire = encodeRangeEnd(wire, 9, 3)
-	rd := bytes.NewReader(wire)
+	var buf []byte
+	buf = encodeValueResponse(buf, 7, -1)
+	buf = encodeErrResponse(buf, 8, &RemoteError{Msg: "key 99 outside universe"})
+	buf = encodeRangeChunk(buf, 9, []int64{30, 20, 10})
+	buf = encodeRangeEnd(buf, 9, 3)
+	rd := bufio.NewReader(bytes.NewReader(buf))
 
 	next := func() response {
 		t.Helper()
-		p, err := readFrame(rd, nil, maxFrame)
+		p, err := wire.ReadFrame(rd, nil, maxFrame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,10 +78,10 @@ func TestWireResponseRoundTrip(t *testing.T) {
 // TestWireRejectsGarbage: oversized lengths, zero lengths, short frames
 // and unknown opcodes are errors, not panics or silent misreads.
 func TestWireRejectsGarbage(t *testing.T) {
-	if _, err := readFrame(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1}), nil, maxRequestFrame); err == nil {
+	if _, err := wire.ReadFrame(bufio.NewReader(bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})), nil, maxRequestFrame); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
-	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 0}), nil, maxRequestFrame); err == nil {
+	if _, err := wire.ReadFrame(bufio.NewReader(bytes.NewReader([]byte{0, 0, 0, 0})), nil, maxRequestFrame); err == nil {
 		t.Fatal("zero-length frame accepted")
 	}
 	if _, err := decodeRequest([]byte{opInsert, 1, 2}); err == nil {

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Kind discriminates INS nodes (created by insert operations) from DEL nodes
@@ -94,55 +95,62 @@ func minRegisterMask(v int) uint64 {
 // UpdateNode is an INS or DEL node (paper Figures 4 and 6). One instance is
 // created per S-modifying attempt of an Insert/Delete operation; the node is
 // published by a CAS on latest[key] and thereafter shared.
+//
+// Fields are ordered by size (8-byte words, then 4-byte atomics, then the
+// one-byte tags) so the struct carries no padding beyond its tail and
+// takes the 80-byte allocation size class.
 type UpdateNode struct {
 	// Key is the operation's input key (immutable).
 	Key int64
-	// Kind is Ins or Del (immutable).
-	Kind Kind
-	// DummyNode marks the lazily materialized dummy DEL node that stands
-	// for "key never inserted" (see DESIGN.md). Dummies are always active
-	// and have Upper0Boundary = b, Lower1Boundary = b+1.
-	DummyNode bool
 
 	// Target points to the DEL node a TrieInsert is attacking (paper line
 	// 5/96): the insert will MinWrite that DEL node's lower1Boundary.
 	Target atomic.Pointer[UpdateNode]
-	// Stop tells the Delete operation that created this DEL node to stop
-	// updating interpreted bits (paper line 7/97). Monotone false→true.
-	Stop atomic.Bool
 	// LatestNext is the next node in the latest[key] list (paper line
 	// 8/95). In §5 it is initialized to the previous latest node and
 	// changes exactly once, to nil.
 	LatestNext atomic.Pointer[UpdateNode]
-	// Upper0Boundary (DEL only): all trie nodes at height ≤ this value that
-	// depend on this node have interpreted bit 0 (paper line 9/100). Only
-	// the creating Delete writes it, incrementing from 0 one level at a
-	// time (Lemma 4.13).
-	Upper0Boundary atomic.Int32
 	// Lower1Boundary (DEL only): all trie nodes at height ≥ this value that
 	// depend on this node have interpreted bit 1 (paper line 10/101).
 	// Initially b+1; lowered by inserts via MinWrite.
 	Lower1Boundary MinRegister
 
-	// Status is StatusInactive/StatusActive (§5 only, paper line 94).
-	Status atomic.Uint32
-	// Completed records that the creating operation finished updating the
-	// relaxed trie and notifying predecessors (§5 only, paper line 98), so
-	// helpers that re-inserted the node into the announcement lists must
-	// remove it again.
-	Completed atomic.Bool
-
 	// DelPredNode is the predecessor node of the Delete operation's first
 	// embedded predecessor (§5 DEL only, paper line 102; immutable once the
-	// node is published). Typed as any to avoid an import cycle with the
-	// core package; core stores its *PredNode here.
-	DelPredNode any
+	// node is published). It holds core's *PredNode as an untyped pointer,
+	// because unode cannot import core; core's setDelPredNode/delPredNode
+	// pair is the only code that converts it.
+	DelPredNode unsafe.Pointer
 	// DelPred is the result of the first embedded predecessor (paper line
 	// 103; immutable once published).
 	DelPred int64
 	// DelPred2 is the result of the second embedded predecessor (paper line
 	// 104). It transitions once from NoKey to a key in U ∪ {−1}.
 	DelPred2 atomic.Int64
+
+	// Upper0Boundary (DEL only): all trie nodes at height ≤ this value that
+	// depend on this node have interpreted bit 0 (paper line 9/100). Only
+	// the creating Delete writes it, incrementing from 0 one level at a
+	// time (Lemma 4.13).
+	Upper0Boundary atomic.Int32
+	// Status is StatusInactive/StatusActive (§5 only, paper line 94).
+	Status atomic.Uint32
+	// Stop tells the Delete operation that created this DEL node to stop
+	// updating interpreted bits (paper line 7/97). Monotone false→true.
+	Stop atomic.Bool
+	// Completed records that the creating operation finished updating the
+	// relaxed trie and notifying predecessors (§5 only, paper line 98), so
+	// helpers that re-inserted the node into the announcement lists must
+	// remove it again.
+	Completed atomic.Bool
+
+	// Kind is Ins or Del (immutable).
+	Kind Kind
+	// DummyNode marks the lazily materialized dummy DEL node that stands
+	// for "key never inserted" (see DESIGN.md). Dummies are always active
+	// and have Upper0Boundary = b, Lower1Boundary = b+1. Only insert paths
+	// materialize one; readers treat a nil latest[key] as the dummy.
+	DummyNode bool
 }
 
 // NewIns returns a fresh INS node for key. The §5 caller must still set

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestMinRegisterInitRead(t *testing.T) {
@@ -182,5 +183,14 @@ func TestUpdateNodeString(t *testing.T) {
 	i := NewIns(2)
 	if i.String() != "INS(2)" {
 		t.Errorf("INS String = %q", i.String())
+	}
+}
+
+// TestUpdateNodeSize pins UpdateNode to the 80-byte allocation size class:
+// every key ever touched keeps one in latest[x], so its size is paid per
+// key.
+func TestUpdateNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(UpdateNode{}); got > 80 {
+		t.Fatalf("unsafe.Sizeof(UpdateNode{}) = %d, want ≤ 80", got)
 	}
 }

@@ -11,6 +11,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -32,14 +33,22 @@ const OpBytes = 1 + 8
 const FrameHeaderBytes = 4
 
 // ReadFrame reads one length-prefixed frame into buf (grown as needed)
-// and returns the payload. A zero or over-limit length is a corrupt or
-// hostile stream, reported as an error rather than read.
-func ReadFrame(r io.Reader, buf []byte, limit int) ([]byte, error) {
-	var lb [FrameHeaderBytes]byte
-	if _, err := io.ReadFull(r, lb[:]); err != nil {
+// and returns the payload. The header is peeked out of r's buffer rather
+// than copied, so a frame allocates nothing once buf is large enough. A
+// zero or over-limit length is a corrupt or hostile stream, reported as an
+// error rather than read. A stream that ends before a frame starts reads
+// io.EOF; one that ends inside a frame (1–3 header bytes, or a header with
+// a short payload) reads io.ErrUnexpectedEOF.
+func ReadFrame(r *bufio.Reader, buf []byte, limit int) ([]byte, error) {
+	hdr, err := r.Peek(FrameHeaderBytes)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF // a torn header
+		}
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(lb[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
+	r.Discard(FrameHeaderBytes) // cannot fail: Peek buffered the bytes
 	if n == 0 || n > limit {
 		return nil, fmt.Errorf("wire: frame length %d outside (0, %d]", n, limit)
 	}

@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"testing"
+	"testing/iotest"
 )
 
 // TestFrameRoundTrip: WriteFrame then ReadFrame returns the payload,
@@ -16,9 +18,10 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("WriteFrame: %v", err)
 		}
 	}
+	rd := bufio.NewReader(&buf)
 	scratch := make([]byte, 0, 8)
 	for _, want := range payloads {
-		got, err := ReadFrame(&buf, scratch, 4096)
+		got, err := ReadFrame(rd, scratch, 4096)
 		if err != nil {
 			t.Fatalf("ReadFrame: %v", err)
 		}
@@ -27,7 +30,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 		scratch = got[:0]
 	}
-	if _, err := ReadFrame(&buf, scratch, 4096); err != io.EOF {
+	if _, err := ReadFrame(rd, scratch, 4096); err != io.EOF {
 		t.Fatalf("read past end: %v, want io.EOF", err)
 	}
 }
@@ -36,15 +39,87 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameLimits(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0, 0, 0, 0}) // zero length
-	if _, err := ReadFrame(&buf, nil, 16); err == nil {
+	if _, err := ReadFrame(bufio.NewReader(&buf), nil, 16); err == nil {
 		t.Fatal("zero-length frame accepted")
 	}
 	buf.Reset()
 	if err := WriteFrame(&buf, make([]byte, 17)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFrame(&buf, nil, 16); err == nil {
+	if _, err := ReadFrame(bufio.NewReader(&buf), nil, 16); err == nil {
 		t.Fatal("over-limit frame accepted")
+	}
+}
+
+// TestFrameTornStream pins ReadFrame's end-of-stream contract, which the
+// WAL's torn-tail recovery relies on: a stream that ends between frames
+// reads io.EOF, one that ends inside a frame reads io.ErrUnexpectedEOF,
+// and a whole frame reads fine however the stream splits it.
+func TestFrameTornStream(t *testing.T) {
+	frame := AppendFrameHeader(nil, 5)
+	frame = append(frame, "hello"...)
+	for _, tc := range []struct {
+		name    string
+		stream  []byte
+		oneByte bool // deliver the stream one byte per Read
+		want    error
+	}{
+		{"empty", nil, false, io.EOF},
+		{"1 header byte", frame[:1], false, io.ErrUnexpectedEOF},
+		{"2 header bytes", frame[:2], false, io.ErrUnexpectedEOF},
+		{"3 header bytes", frame[:3], false, io.ErrUnexpectedEOF},
+		{"3 header bytes, one per read", frame[:3], true, io.ErrUnexpectedEOF},
+		{"header only", frame[:4], false, io.ErrUnexpectedEOF},
+		{"short payload", frame[:7], false, io.ErrUnexpectedEOF},
+		{"short payload, one per read", frame[:7], true, io.ErrUnexpectedEOF},
+		{"whole frame", frame, false, nil},
+		{"whole frame, one per read", frame, true, nil},
+	} {
+		var r io.Reader = bytes.NewReader(tc.stream)
+		if tc.oneByte {
+			r = iotest.OneByteReader(r)
+		}
+		p, err := ReadFrame(bufio.NewReader(r), nil, 16)
+		if err != tc.want {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if err == nil && string(p) != "hello" {
+			t.Errorf("%s: payload %q, want %q", tc.name, p, "hello")
+		}
+	}
+}
+
+// repeatReader yields frame over and over, never ending.
+type repeatReader struct {
+	frame []byte
+	off   int
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		c := copy(p[n:], r.frame[r.off:])
+		n += c
+		r.off = (r.off + c) % len(r.frame)
+	}
+	return n, nil
+}
+
+// TestReadFrameNoAlloc: with a buffer large enough for the payload,
+// reading a frame allocates nothing — not even for its 4-byte header.
+func TestReadFrameNoAlloc(t *testing.T) {
+	frame := AppendFrameHeader(nil, 17)
+	frame = append(frame, make([]byte, 17)...)
+	rd := bufio.NewReader(&repeatReader{frame: frame})
+	buf := make([]byte, 0, 64)
+	allocs := testing.AllocsPerRun(1000, func() {
+		p, err := ReadFrame(rd, buf, 64)
+		if err != nil || len(p) != 17 {
+			t.Fatalf("ReadFrame = %d bytes, %v", len(p), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadFrame: %v allocs per frame, want 0", allocs)
 	}
 }
 

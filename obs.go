@@ -253,9 +253,16 @@ func (t *Trie) registerObsGauges() {
 		return max
 	})
 
-	// The trie itself, and the ring's own loss accounting.
+	// The trie itself, and the ring's own loss accounting. fixed_bytes is
+	// the universe-proportional structure New allocated, summed over the
+	// shards: computed from the array lengths at snapshot time.
 	r.Gauge("trie.len", t.set.Len)
 	r.Gauge("trie.shards", func() int64 { return int64(t.st.Shards()) })
+	r.Gauge("trie.fixed_bytes", func() int64 {
+		var n int64
+		t.eachCore(func(c *core.Trie) { n += c.FixedBytes() })
+		return n
+	})
 	r.Gauge("events.dropped", o.ring.Dropped)
 }
 

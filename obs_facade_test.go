@@ -62,6 +62,25 @@ func TestMetricsSnapshotCountsOps(t *testing.T) {
 	}
 }
 
+// TestFixedBytesGauge: trie.fixed_bytes reports the universe-proportional
+// structure summed over the shards — 8 B of latest and 8 B of internal
+// dNodePtr per slot, plus the occupancy summary's 1/64 word per slot and
+// its upper levels (under 0.13 B per slot in all).
+func TestFixedBytesGauge(t *testing.T) {
+	const u = 1 << 16
+	for _, k := range []int{1, 16} {
+		tr, err := lockfreetrie.New(u, lockfreetrie.WithShards(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := tr.MetricsSnapshot().Counters["trie.fixed_bytes"]
+		if lo, hi := int64(16*u+u/8), int64(16*u+u/8+u/256); got < lo || got > hi {
+			t.Errorf("k=%d: trie.fixed_bytes = %d (%.3f B per slot), want in [%d, %d]",
+				k, got, float64(got)/u, lo, hi)
+		}
+	}
+}
+
 // TestLatencySamplingRecords: with cadence 1 every op is timed, so the
 // histograms carry exactly the op counts; the core gauges move too.
 func TestLatencySamplingRecords(t *testing.T) {
