@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sharded"
 	"repro/internal/wal"
 )
 
@@ -78,8 +79,8 @@ func WithSegmentBytes(n int64) DurabilityOption {
 	}
 }
 
-// WithSnapshotBytes triggers an asynchronous consistent snapshot each
-// time a stripe's log grows by n bytes (default wal.DefaultSnapshotBytes);
+// WithSnapshotBytes triggers an asynchronous checkpoint each time a
+// stripe's log grows by n bytes (default wal.DefaultSnapshotBytes);
 // n < 0 disables auto-snapshots (Trie.SnapshotWAL still works).
 func WithSnapshotBytes(n int64) DurabilityOption {
 	return func(c *durConfig) error {
@@ -93,24 +94,27 @@ func WithSnapshotBytes(n int64) DurabilityOption {
 
 // WithDurability persists the set to dir: every update is appended to a
 // per-stripe write-ahead log (internal/wal) BEFORE it is applied, with
-// one ApplyBatch call group-committing as one log record, asynchronous
-// consistent snapshots bounding the log, and New recovering the set
-// from dir on construction (Trie.RecoveryStats reports what it found).
-// Call Trie.Close to flush and release the log; read the wal.* metrics
-// through MetricsSnapshot.
+// one ApplyBatch call group-committing as one log record, fuzzy
+// checkpoints of the live trie bounding the log, and New recovering the
+// set from dir on construction (Trie.RecoveryStats reports what it
+// found). Call Trie.Close to flush and release the log; read the wal.*
+// metrics through MetricsSnapshot.
 //
 // Durability semantics: with the default WithSyncEvery(1), an update is
 // on disk before its call returns; weaker policies bound the loss
-// window by op count or time. The log records one valid linearization
-// of the acknowledged updates — ops racing on the same key through
-// different batches may be logged in either order, so recovery restores
-// a legal (not necessarily the observed) final state for keys that
-// were mid-race at the crash; see DESIGN.md §Durability.
+// window by op count or time. Recovery replays the log in its own
+// order, and updates of one key racing through different calls may be
+// logged in one order and applied in the other: the live set can then
+// hold the earlier-logged value of that key while recovery restores the
+// later one, until the key is written again. Callers that serialize
+// each key's updates (trieserve's coalesced sweeps do) get back the set
+// they had, less the suffix of each stripe's log that the sync policy
+// let a crash lose; see DESIGN.md §Durability.
 //
 // A log I/O failure never blocks or fails trie operations: the first
-// error is sticky, later appends drop, wal.append.errors counts, and
-// Close returns it — the durability contract is broken from that
-// instant while the in-memory set remains fully usable.
+// error is sticky, later appends drop, wal.append.errors counts,
+// SnapshotWAL and Close return it — the durability contract is broken
+// from that instant while the in-memory set remains fully usable.
 //
 // Incompatible with NewRelaxed (the relaxed trie's abstaining queries
 // have no batch entrypoint to seed through).
@@ -131,26 +135,68 @@ func WithDurability(dir string, opts ...DurabilityOption) Option {
 }
 
 // durableSet interposes the write-ahead append between the facade and
-// the assembled backend: log first, then apply. Queries pass through
-// untouched — durability never gates readers.
+// the assembled backend: log first, then apply, then tell the log the
+// apply returned (the applied point its checkpoints wait for). Queries
+// pass through untouched — durability never gates readers.
 type durableSet struct {
 	set
 	log *wal.Log
 }
 
+// testHookLogged, when set, runs between a batch's append and its
+// apply.
+var testHookLogged func()
+
 func (d *durableSet) Insert(x int64) {
-	d.log.Append(x, false)
+	s := d.log.Append(x, false)
 	d.set.Insert(x)
+	d.log.Applied(s)
 }
 
 func (d *durableSet) Delete(x int64) {
-	d.log.Append(x, true)
+	s := d.log.Append(x, true)
 	d.set.Delete(x)
+	d.log.Applied(s)
 }
 
 func (d *durableSet) ApplyBatch(ops []core.BatchOp) {
-	d.log.AppendBatch(ops)
+	// The backend rebases ops' keys to shard coordinates in place, so the
+	// stripes to release come from the append, not from ops afterwards.
+	var stk [16]int
+	touched := d.log.AppendBatch(ops, stk[:0])
+	if testHookLogged != nil {
+		testHookLogged()
+	}
 	d.set.ApplyBatch(ops)
+	for _, s := range touched {
+		d.log.Applied(s)
+	}
+}
+
+// liveKeys is the WAL's checkpoint walk over the sharded table: for each
+// trie shard overlapping [lo, hi], from the highest down, a Search of the
+// top key and then Predecessor steps on that shard's core trie, each one
+// linearizable. It never uses the cross-shard Predecessor, whose
+// fallback may answer weakly after sharded.ScanRetries failed
+// validations. WAL stripes and trie shards partition the universe
+// independently, so a stripe may span several shards or part of one.
+func liveKeys(st *sharded.Trie) wal.LiveKeys {
+	w := st.ShardWidth()
+	return func(lo, hi int64, emit func(int64)) {
+		for j := hi / w; j >= lo/w; j-- {
+			c, base := st.Shard(int(j)), j*w
+			bot, y := max(lo, base)-base, min(hi, base+w-1)-base
+			if c.Search(y) {
+				emit(base + y)
+			}
+			for {
+				if y = c.Predecessor(y); y < bot {
+					break // −1 (none) is below every bot
+				}
+				emit(base + y)
+			}
+		}
+	}
 }
 
 // RecoveryStats reports what WithDurability reconstructed at New.
@@ -172,7 +218,7 @@ type RecoveryStats struct {
 // further update is logged before it applies. Runs inside New, before
 // the trie is published.
 func (t *Trie) attachDurability(dc *durConfig) error {
-	log, rec, err := wal.Open(dc.dir, t.set.U(), dc.opts)
+	log, rec, err := wal.Open(dc.dir, t.st.U(), dc.opts, liveKeys(t.st))
 	if err != nil {
 		return fmt.Errorf("lockfreetrie: WithDurability: %w", err)
 	}
@@ -211,8 +257,8 @@ func (t *Trie) Durable() bool { return t.wal != nil }
 // (zero without it, or for a fresh directory).
 func (t *Trie) RecoveryStats() RecoveryStats { return t.recovery }
 
-// SnapshotWAL synchronously takes a consistent snapshot of every WAL
-// stripe and truncates the log segments it covers. Auto-snapshots
+// SnapshotWAL synchronously checkpoints every WAL stripe from the live
+// trie and truncates the log segments each checkpoint covers. Auto-snapshots
 // (WithSnapshotBytes) do the same in the background; the explicit call
 // exists for checkpoints at known-good moments (before shutdown, after
 // a bulk load). Errors without WithDurability.

@@ -101,3 +101,65 @@ func TestWireRejectsGarbage(t *testing.T) {
 		t.Fatal("unknown status accepted")
 	}
 }
+
+// FuzzDecodeRequest: decodeRequest never panics, and a payload it
+// accepts re-encodes to exactly the bytes it read.
+func FuzzDecodeRequest(f *testing.F) {
+	for _, r := range []request{
+		{op: opInsert, id: 1, key: 42},
+		{op: opDelete, id: 2, key: -1},
+		{op: opPredecessor, id: 3, key: 1<<31 - 1},
+		{op: opRange, id: 5, key: 10, hi: 20},
+	} {
+		f.Add(encodeRequest(nil, r)[wire.FrameHeaderBytes:])
+	}
+	f.Add([]byte{opRange, 0})
+	f.Add(make([]byte, 17))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		req, err := decodeRequest(p)
+		if err != nil {
+			return
+		}
+		if got := encodeRequest(nil, req)[wire.FrameHeaderBytes:]; !bytes.Equal(got, p) {
+			t.Fatalf("decodeRequest(%x) = %+v, which re-encodes to %x", p, req, got)
+		}
+	})
+}
+
+// FuzzDecodeResponse: decodeResponse never panics, and a payload it
+// accepts re-encodes to exactly the bytes it read.
+func FuzzDecodeResponse(f *testing.F) {
+	for _, frame := range [][]byte{
+		encodeValueResponse(nil, 7, -1),
+		encodeErrResponse(nil, 8, &RemoteError{Msg: "key 99 outside universe"}),
+		encodeRangeChunk(nil, 9, []int64{30, 20, 10}),
+		encodeRangeChunk(nil, 9, nil),
+		encodeRangeEnd(nil, 9, 3),
+	} {
+		f.Add(frame[wire.FrameHeaderBytes:])
+	}
+	f.Add([]byte{statusRangeChunk, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{9})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		resp, err := decodeResponse(p)
+		if err != nil {
+			return
+		}
+		var got []byte
+		switch resp.status {
+		case statusOK:
+			got = encodeValueResponse(nil, resp.id, resp.value)
+		case statusErr:
+			got = encodeErrResponse(nil, resp.id, &RemoteError{Msg: resp.msg})
+		case statusRangeChunk:
+			got = encodeRangeChunk(nil, resp.id, resp.keys)
+		case statusRangeEnd:
+			got = encodeRangeEnd(nil, resp.id, resp.value)
+		default:
+			t.Fatalf("decodeResponse accepted status %d", resp.status)
+		}
+		if got = got[wire.FrameHeaderBytes:]; !bytes.Equal(got, p) {
+			t.Fatalf("decodeResponse(%x) = %+v, which re-encodes to %x", p, resp, got)
+		}
+	})
+}

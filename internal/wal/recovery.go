@@ -13,14 +13,15 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/versioned"
 	"repro/internal/wire"
 )
 
@@ -29,6 +30,9 @@ const (
 	metaMagic  = 0x5457414C // "TWAL"
 	snapMagic  = 0x54534E50 // "TSNP"
 	walVersion = 1
+	// snapHeaderBytes is magic(4) | version(1) | shard(4) | u(8) | lsn(8) |
+	// count(8); the keys and a crc32c follow.
+	snapHeaderBytes = 4 + 1 + 4 + 8 + 8 + 8
 )
 
 // segmentPath names shard id's segment starting at firstLSN. The LSN is
@@ -77,24 +81,31 @@ type Recovery struct {
 	// was found and discarded.
 	TornTail bool
 
-	snaps []versioned.Snapshot // per shard, ascending key ranges
+	width int64      // keys per stripe
+	bits  [][]uint64 // per stripe: bit i set iff key stripe·width+i is present
 }
 
 // ForEach emits every recovered key in ascending order.
 func (r *Recovery) ForEach(emit func(key int64)) {
-	for _, s := range r.snaps {
-		s.ForEach(emit)
+	for s, words := range r.bits {
+		base := int64(s) * r.width
+		for i, w := range words {
+			for ; w != 0; w &= w - 1 {
+				emit(base + int64(i)<<6 + int64(bits.TrailingZeros64(w)))
+			}
+		}
 	}
 }
 
 // Open opens (creating if needed) the log in dir for a power-of-two
 // universe u, recovering existing state: per shard, the newest valid
 // snapshot file is loaded and the log records above its LSN are
-// replayed into the mirror. A torn final record — a crash mid-append —
-// is detected by CRC/length and discarded; corruption anywhere else is
-// an error, because silently skipping interior records would replay a
-// set that never existed.
-func Open(dir string, u int64, opt Options) (*Log, *Recovery, error) {
+// replayed into a bitmap of the stripe. A torn final record — a crash
+// mid-append — is detected by CRC/length and discarded; corruption
+// anywhere else is an error, because silently skipping interior records
+// would replay a set that never existed. live is the walk snapshots take
+// over the backend the caller applies its logged updates to.
+func Open(dir string, u int64, opt Options, live LiveKeys) (*Log, *Recovery, error) {
 	opt = opt.withDefaults()
 	if u < 2 || u&(u-1) != 0 {
 		return nil, nil, fmt.Errorf("wal: universe %d is not a power of two ≥ 2", u)
@@ -104,6 +115,9 @@ func Open(dir string, u int64, opt Options) (*Log, *Recovery, error) {
 	}
 	if int64(opt.Shards) > u/2 {
 		return nil, nil, fmt.Errorf("wal: %d shards leave under two keys per stripe of universe %d", opt.Shards, u)
+	}
+	if live == nil {
+		return nil, nil, errors.New("wal: no live-key walk for snapshots")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
@@ -118,6 +132,7 @@ func Open(dir string, u int64, opt Options) (*Log, *Recovery, error) {
 		u:      u,
 		opt:    opt,
 		shift:  shardShift(u, opt.Shards),
+		live:   live,
 		snapCh: make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 	}
@@ -132,7 +147,7 @@ func Open(dir string, u int64, opt Options) (*Log, *Recovery, error) {
 			os.Remove(p)
 		}
 	}
-	rec := &Recovery{}
+	rec := &Recovery{width: int64(1) << l.shift, bits: make([][]uint64, opt.Shards)}
 	l.shards = make([]*shardLog, opt.Shards)
 	for i := range l.shards {
 		s, err := l.openShard(i, rec)
@@ -141,9 +156,10 @@ func Open(dir string, u int64, opt Options) (*Log, *Recovery, error) {
 			return nil, nil, err
 		}
 		l.shards[i] = s
-		snap := s.mirror.Snapshot()
-		rec.Keys += snap.Count()
-		rec.snaps = append(rec.snaps, snap)
+		for _, w := range rec.bits[i] {
+			s.lastKeys += bits.OnesCount64(w)
+		}
+		rec.Keys += int64(s.lastKeys)
 	}
 	l.reg.Counter("wal.recovery.snapshot_keys").Add(0, rec.SnapshotKeys)
 	l.reg.Counter("wal.recovery.replayed_records").Add(0, rec.ReplayedRecords)
@@ -217,14 +233,13 @@ func atomicWrite(path string, data []byte, dirf *os.File) error {
 	return fsyncFile(dirf)
 }
 
-// openShard recovers one stripe: newest valid snapshot, then the log
-// tail, then a fresh segment for new appends.
+// openShard recovers one stripe into its bitmap rec.bits[id]: newest
+// valid snapshot, then the log tail, then a fresh segment for new
+// appends.
 func (l *Log) openShard(id int, rec *Recovery) (*shardLog, error) {
-	mirror, err := versioned.New(l.u)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	s := &shardLog{id: id, mirror: mirror}
+	s := &shardLog{id: id}
+	bm := make([]uint64, (rec.width+63)>>6)
+	rec.bits[id] = bm
 
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
@@ -248,19 +263,13 @@ func (l *Log) openShard(id int, rec *Recovery) (*shardLog, error) {
 	// falls back to the next older, whose covering segments are still
 	// on disk exactly because truncation follows snapshot durability.
 	for _, lsn := range snaps {
-		keys, err := loadSnapshot(snapshotPath(l.dir, id, lsn), l.u, id, lsn)
+		n, err := l.loadSnapshot(snapshotPath(l.dir, id, lsn), id, lsn, bm)
 		if err != nil {
+			clear(bm)
 			continue
 		}
-		// Snapshot keys are stored ascending and unique — feed them to the
-		// mirror as one shared-path batch apply instead of per-key copies.
-		ops := make([]versioned.BatchOp, len(keys))
-		for i, k := range keys {
-			ops[i] = versioned.BatchOp{Key: k}
-		}
-		s.mirror.ApplyBatch(ops)
 		s.snapLSN = lsn
-		rec.SnapshotKeys += int64(len(keys))
+		rec.SnapshotKeys += int64(n)
 		break
 	}
 	s.lsn = s.snapLSN
@@ -309,13 +318,13 @@ func (l *Log) openShard(id int, rec *Recovery) (*shardLog, error) {
 }
 
 // replaySegment applies one segment's records above the snapshot LSN to
-// the mirror and returns the last valid LSN it holds plus the byte
-// length of its valid prefix. In the final segment a torn record —
-// short frame, bad CRC, malformed body — ends the replay (the crash
-// interrupted that append; nothing after it was acknowledged durable)
-// and the file is truncated to the valid prefix so future appends
-// continue a clean stream; anywhere else it is corruption and fails
-// Open.
+// the stripe's bitmap and returns the last valid LSN it holds plus
+// the byte length of its valid prefix. In the final segment a torn
+// record — short frame, bad CRC, malformed body — ends the replay (the
+// crash interrupted that append; nothing after it was acknowledged
+// durable) and the file is truncated to the valid prefix so future
+// appends continue a clean stream; anywhere else it is corruption and
+// fails Open.
 func (l *Log) replaySegment(s *shardLog, seg segmentInfo, lastSeg bool, rec *Recovery) (uint64, int64, error) {
 	f, err := os.OpenFile(seg.path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -340,6 +349,7 @@ func (l *Log) replaySegment(s *shardLog, seg segmentInfo, lastSeg bool, rec *Rec
 		}
 		return expect - 1, off, nil
 	}
+	bm, lo := rec.bits[s.id], int64(s.id)<<l.shift
 	for {
 		p, err := wire.ReadFrame(br, buf, maxRecordFrame)
 		if err == io.EOF {
@@ -370,13 +380,17 @@ func (l *Log) replaySegment(s *shardLog, seg segmentInfo, lastSeg bool, rec *Rec
 			if err != nil {
 				return torn(err)
 			}
+			if key>>l.shift != int64(s.id) {
+				return torn(fmt.Errorf("key %d outside the stripe", key))
+			}
 			if !apply {
 				continue
 			}
+			b := key - lo
 			if del {
-				s.mirror.Delete(key)
+				bm[b>>6] &^= 1 << (b & 63)
 			} else {
-				s.mirror.Insert(key)
+				bm[b>>6] |= 1 << (b & 63)
 			}
 		}
 		if apply {
@@ -389,9 +403,11 @@ func (l *Log) replaySegment(s *shardLog, seg segmentInfo, lastSeg bool, rec *Rec
 	}
 }
 
-// snapshot captures, writes and installs one shard snapshot, then
-// truncates the segments it covers. The capture is O(1) under the
-// append lock; the walk and write run outside it.
+// snapshot takes one fuzzy checkpoint of the stripe, writes and
+// installs it, then truncates the segments it covers. Under the append
+// lock it fixes L = the last LSN and waits for every record ≤ L to be
+// applied; the walk of the live set, the fsync of every record appended
+// by its end, and the write run outside it.
 func (s *shardLog) snapshot(l *Log) error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -402,8 +418,19 @@ func (s *shardLog) snapshot(l *Log) error {
 		s.mu.Unlock()
 		return nil
 	}
-	snap := s.mirror.Snapshot()
 	lsn := s.lsn
+	// The applied point. New runs for this stripe wait on mu, and the
+	// runs still unapplied belong to callers past this stripe's lock:
+	// they may wait only on higher stripes' locks (a batch takes them in
+	// ascending order) or on a combiner, itself a caller past its own
+	// append, so the count drains.
+	for spins := 0; s.unapplied.Load() != 0; spins++ {
+		if spins < 64 {
+			runtime.Gosched()
+		} else {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
 	// Rotate so every record ≤ lsn lives in a closed segment: after the
 	// snapshot is durable they can all be deleted.
 	if s.size > 0 || len(s.wbuf) > 0 {
@@ -414,17 +441,41 @@ func (s *shardLog) snapshot(l *Log) error {
 	l.hSnapCapNS.Record(int64(time.Since(t0)))
 
 	t1 := time.Now()
-	count := snap.Count()
-	buf := make([]byte, 0, 4+1+4+8+8+8+count*8+4)
-	buf = binary.BigEndian.AppendUint32(buf, snapMagic)
-	buf = append(buf, walVersion)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(s.id))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(l.u))
-	buf = binary.BigEndian.AppendUint64(buf, lsn)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(count))
-	snap.ForEach(func(key int64) {
+	// Sized for the stripe's last known count plus slack: grown by append
+	// from empty, a 500k-key buffer would leave five times its size in
+	// garbage.
+	buf := make([]byte, snapHeaderBytes, snapHeaderBytes+8*(s.lastKeys+s.lastKeys/8+64)+4)
+	binary.BigEndian.PutUint32(buf, snapMagic)
+	buf[4] = walVersion
+	binary.BigEndian.PutUint32(buf[5:], uint32(s.id))
+	binary.BigEndian.PutUint64(buf[9:], uint64(l.u))
+	binary.BigEndian.PutUint64(buf[17:], lsn)
+	lo := int64(s.id) << l.shift
+	l.live(lo, lo+int64(1)<<l.shift-1, func(key int64) {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(key))
 	})
+	// Write-ahead rule: the walk may have seen the effect of records above
+	// L that are not durable yet (SyncEvery > 1, an interval policy). Make
+	// every record appended so far durable before the snapshot is, or a
+	// crash could leave the snapshot holding a later record's effect
+	// without an earlier one's: a state that is no prefix of the log.
+	s.mu.Lock()
+	s.syncLocked(l)
+	s.mu.Unlock()
+	if err := l.Err(); err != nil {
+		// The sync failed, or appends since an earlier failure were
+		// applied but not logged, and the walk may have seen them.
+		return err
+	}
+	// The walk emitted descending keys; the file stores them ascending.
+	keys := buf[snapHeaderBytes:]
+	for i, j := 0, len(keys)-8; i < j; i, j = i+8, j-8 {
+		a, b := binary.BigEndian.Uint64(keys[i:]), binary.BigEndian.Uint64(keys[j:])
+		binary.BigEndian.PutUint64(keys[i:], b)
+		binary.BigEndian.PutUint64(keys[j:], a)
+	}
+	count := len(keys) / 8
+	binary.BigEndian.PutUint64(buf[25:], uint64(count))
 	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	path := snapshotPath(l.dir, s.id, lsn)
 	if err := atomicWrite(path, buf, l.dirf); err != nil {
@@ -432,7 +483,7 @@ func (s *shardLog) snapshot(l *Log) error {
 	}
 	l.hSnapWrNS.Record(int64(time.Since(t1)))
 	l.cSnaps.Inc(int64(s.id))
-	l.cSnapKeys.Add(int64(s.id), count)
+	l.cSnapKeys.Add(int64(s.id), int64(count))
 
 	// The new snapshot is durable: drop covered segments and stale
 	// snapshots. Deletion failures are not fatal — recovery tolerates
@@ -451,6 +502,7 @@ func (s *shardLog) snapshot(l *Log) error {
 	s.closedSegs = keep
 	prevSnap := s.snapLSN
 	s.snapLSN = lsn
+	s.lastKeys = count
 	s.mu.Unlock()
 	for _, p := range drop {
 		if err := os.Remove(p); err != nil {
@@ -468,40 +520,46 @@ func (s *shardLog) snapshot(l *Log) error {
 	return nil
 }
 
-// loadSnapshot reads and validates one snapshot file, returning its
-// keys.
-func loadSnapshot(path string, u int64, id int, lsn uint64) ([]int64, error) {
+// loadSnapshot reads and validates one snapshot file of stripe id,
+// setting its keys in bm, and returns how many it holds. Keys must be
+// strictly ascending and inside the stripe.
+func (l *Log) loadSnapshot(path string, id int, lsn uint64, bm []uint64) (int, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	const hdr = 4 + 1 + 4 + 8 + 8 + 8
-	if len(raw) < hdr+4 {
-		return nil, fmt.Errorf("wal: snapshot %s: %d bytes", path, len(raw))
+	if len(raw) < snapHeaderBytes+4 {
+		return 0, fmt.Errorf("wal: snapshot %s: %d bytes", path, len(raw))
 	}
 	body, sum := raw[:len(raw)-4], binary.BigEndian.Uint32(raw[len(raw)-4:])
 	if crc32.Checksum(body, castagnoli) != sum {
-		return nil, fmt.Errorf("wal: snapshot %s: checksum mismatch", path)
+		return 0, fmt.Errorf("wal: snapshot %s: checksum mismatch", path)
 	}
 	if binary.BigEndian.Uint32(body) != snapMagic || body[4] != walVersion {
-		return nil, fmt.Errorf("wal: snapshot %s: bad magic or version", path)
+		return 0, fmt.Errorf("wal: snapshot %s: bad magic or version", path)
 	}
 	if got := int(binary.BigEndian.Uint32(body[5:9])); got != id {
-		return nil, fmt.Errorf("wal: snapshot %s: shard %d, want %d", path, got, id)
+		return 0, fmt.Errorf("wal: snapshot %s: shard %d, want %d", path, got, id)
 	}
-	if got := int64(binary.BigEndian.Uint64(body[9:17])); got != u {
-		return nil, fmt.Errorf("wal: snapshot %s: universe %d, want %d", path, got, u)
+	if got := int64(binary.BigEndian.Uint64(body[9:17])); got != l.u {
+		return 0, fmt.Errorf("wal: snapshot %s: universe %d, want %d", path, got, l.u)
 	}
 	if got := binary.BigEndian.Uint64(body[17:25]); got != lsn {
-		return nil, fmt.Errorf("wal: snapshot %s: LSN %d, want %d", path, got, lsn)
+		return 0, fmt.Errorf("wal: snapshot %s: LSN %d, want %d", path, got, lsn)
 	}
 	count := binary.BigEndian.Uint64(body[25:33])
-	if uint64(len(body)-hdr) != count*8 {
-		return nil, fmt.Errorf("wal: snapshot %s: %d keys vs %d body bytes", path, count, len(body)-hdr)
+	if n := len(body) - snapHeaderBytes; n%8 != 0 || uint64(n/8) != count {
+		return 0, fmt.Errorf("wal: snapshot %s: %d keys vs %d body bytes", path, count, n)
 	}
-	keys := make([]int64, count)
-	for i := range keys {
-		keys[i] = int64(binary.BigEndian.Uint64(body[hdr+8*i:]))
+	lo, width := int64(id)<<l.shift, int64(1)<<l.shift
+	prev := int64(-1)
+	for off := snapHeaderBytes; off < len(body); off += 8 {
+		i := int64(binary.BigEndian.Uint64(body[off:])) - lo
+		if i <= prev || i >= width {
+			return 0, fmt.Errorf("wal: snapshot %s: key %d out of order or outside the stripe", path, i+lo)
+		}
+		bm[i>>6] |= 1 << (i & 63)
+		prev = i
 	}
-	return keys, nil
+	return int(count), nil
 }

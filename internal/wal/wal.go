@@ -29,15 +29,25 @@
 //
 // # Consistency
 //
-// Each shard keeps a private mirror of its key range in an
-// internal/versioned path-copy trie, updated under the same lock that
-// orders record appends — so the mirror version at LSN L is EXACTLY the
-// membership after replaying records 1…L. A snapshot is an O(1) capture
-// of that mirror version at a chosen LSN boundary plus an unhurried
-// walk of the immutable structure; segments whose records are all ≤ the
-// snapshot LSN are deleted afterwards. Recovery loads the newest valid
-// snapshot and replays only records above its LSN, tolerating a torn
-// final record (see Open).
+// A snapshot is a fuzzy checkpoint of the live set (ARIES-style, Mohan
+// et al., TODS 1992): the log keeps no copy of its own. Each stripe
+// counts the record runs appended but not yet applied to the backend
+// (AppendBatch raises the count under the append lock, Applied lowers it
+// once the caller's apply returns). A snapshot holds the append lock,
+// fixes L = the stripe's last LSN, waits for that count to drain — from
+// then on every record ≤ L has been applied — rotates, releases the lock
+// and walks the stripe's key range through the LiveKeys function Open
+// was given, while updates continue. A key with a record above L ends at
+// its last logged record on replay (updates are blind writes); a key
+// with none is stable during the walk, and a chain of linearizable
+// predecessor steps returns every stable present key and no stable
+// absent one. Before its own file the checkpoint fsyncs every record
+// the stripe has appended so far, since the walk may have seen the
+// effect of one above L that was only buffered; so a recovered state is
+// always a prefix of each stripe's log. Segments whose records are all
+// ≤ L are deleted once the snapshot is durable. Recovery loads the
+// newest valid snapshot into a per-stripe bitmap and replays only
+// records above its LSN, tolerating a torn final record (see Open).
 package wal
 
 import (
@@ -52,7 +62,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/versioned"
 	"repro/internal/wire"
 )
 
@@ -125,6 +134,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// LiveKeys emits every key of the live set in [lo, hi] exactly once, in
+// descending order. Each step must be linearizable on its own (a Search
+// or a Predecessor); the walk as a whole need not be atomic, since a
+// snapshot only relies on it for keys no update touches while it runs.
+type LiveKeys func(lo, hi int64, emit func(key int64))
+
 // Log is an open write-ahead log. Appends are safe for concurrent use;
 // each key's shard serializes under one mutex, which is exactly the
 // order its LSNs record.
@@ -135,6 +150,7 @@ type Log struct {
 	opt    Options
 	shift  uint // key → shard
 	shards []*shardLog
+	live   LiveKeys // the checkpoint walk over the backend
 
 	reg        *obs.Registry
 	cRecords   *obs.Counter
@@ -165,7 +181,8 @@ type segmentInfo struct {
 	lastLSN  uint64
 }
 
-// shardLog is one stripe's stream: current segment, mirror, LSN clock.
+// shardLog is one stripe's stream: current segment, LSN clock, applied
+// point.
 type shardLog struct {
 	id int
 
@@ -176,13 +193,16 @@ type shardLog struct {
 	size       int64  // bytes written to the current segment file
 	firstLSN   uint64 // first LSN of the current segment
 	lsn        uint64 // last assigned LSN
-	mirror     *versioned.Trie
-	unsynced   int   // ops appended since the last fsync
-	dirty      bool  // bytes appended (or buffered) since the last fsync
-	sinceSnap  int64 // log bytes appended since the last snapshot capture
+	unsynced   int    // ops appended since the last fsync
+	dirty      bool   // bytes appended (or buffered) since the last fsync
+	sinceSnap  int64  // log bytes appended since the last snapshot capture
 	closedSegs []segmentInfo
-	enc        []byte              // record scratch buffer
-	mops       []versioned.BatchOp // mirror batch-apply scratch buffer
+
+	// unapplied counts the runs appended to this stripe whose apply has
+	// not returned yet: raised under mu as the run gets its LSNs, lowered
+	// by Applied. With mu held and unapplied at 0, every record up to lsn
+	// is in the live set — the applied point a snapshot waits for.
+	unapplied atomic.Int64
 
 	// flushSeq counts completed wbuf→file writes; a flush's bytes are in
 	// the file before its bump is visible, so a group-commit fsync that
@@ -204,8 +224,9 @@ type shardLog struct {
 
 	// snapMu single-flights snapshots for this shard (held across the
 	// slow walk+write, which runs OUTSIDE mu so appends continue).
-	snapMu  sync.Mutex
-	snapLSN uint64 // LSN covered by the newest durable snapshot
+	snapMu   sync.Mutex
+	snapLSN  uint64 // LSN covered by the newest durable snapshot
+	lastKeys int    // keys at recovery or in that snapshot: the next one's buffer hint
 }
 
 // fsyncFile is swapped out by tests that count or fail fsyncs.
@@ -265,21 +286,27 @@ func (l *Log) setErr(err error) {
 // shardOf maps a key to its stripe.
 func (l *Log) shardOf(key int64) int { return int(uint64(key) >> l.shift) }
 
-// Append logs one op.
-func (l *Log) Append(key int64, del bool) {
+// Append logs one op and returns its stripe, which the caller passes
+// to Applied once the op is applied.
+func (l *Log) Append(key int64, del bool) int {
 	op := [1]core.BatchOp{{Key: key, Del: del}}
-	l.AppendBatch(op[:])
+	var touched [1]int
+	return l.AppendBatch(op[:], touched[:0])[0]
 }
 
 // AppendBatch logs a batch. Consecutive ops of the same stripe form one
-// record (one group commit): a sorted batch — what the facade's
-// SortDedup hands the backend — lands in at most one record per stripe
-// touched. The batch must be appended BEFORE the trie applies it; the
-// facade's durable wrapper guarantees that ordering.
-func (l *Log) AppendBatch(ops []core.BatchOp) {
-	if len(ops) == 0 || l.err.Load() != nil {
-		return
-	}
+// record (one group commit). The keys must be ascending, as the facade's
+// SortDedup hands them to the backend, so that the batch takes stripe
+// locks in ascending order and visits each stripe once: a checkpoint
+// holds one stripe's lock until that stripe's unapplied runs drain, and
+// a batch that came back to a stripe it had already logged to would wait
+// on that lock with its own earlier run still unapplied — neither could
+// proceed. The batch must be appended BEFORE the trie applies it, and
+// each stripe AppendBatch appends to touched (one entry per run) must be
+// passed to Applied once the apply has returned; a snapshot of that
+// stripe waits for it. After a sticky error the runs are still counted
+// but no longer logged.
+func (l *Log) AppendBatch(ops []core.BatchOp, touched []int) []int {
 	for i := 0; i < len(ops); {
 		s := l.shardOf(ops[i].Key)
 		j := i + 1
@@ -287,13 +314,24 @@ func (l *Log) AppendBatch(ops []core.BatchOp) {
 			j++
 		}
 		l.shards[s].append(l, ops[i:j])
+		touched = append(touched, s)
 		i = j
 	}
+	return touched
 }
+
+// Applied marks one run that AppendBatch logged to stripe as applied to
+// the live set.
+func (l *Log) Applied(stripe int) { l.shards[stripe].unapplied.Add(-1) }
 
 // append logs one same-stripe run and applies the sync policy.
 func (s *shardLog) append(l *Log, run []core.BatchOp) {
 	s.mu.Lock()
+	s.unapplied.Add(1)
+	if l.err.Load() != nil {
+		s.mu.Unlock()
+		return
+	}
 	for len(run) > 0 {
 		n := len(run)
 		if n > maxRecordOps {
@@ -319,39 +357,28 @@ func (s *shardLog) append(l *Log, run []core.BatchOp) {
 	}
 }
 
-// appendRecord encodes one record, buffers its bytes and applies it to
-// the mirror. Caller holds mu.
+// appendRecord encodes one record straight into the write buffer.
+// Caller holds mu.
 func (s *shardLog) appendRecord(l *Log, run []core.BatchOp) {
 	s.lsn++
-	s.enc = s.enc[:0]
-	s.enc = wire.AppendFrameHeader(s.enc, recordHeaderBytes+len(run)*wire.OpBytes)
-	crcAt := len(s.enc)
-	s.enc = append(s.enc, 0, 0, 0, 0)
-	s.enc = binary.BigEndian.AppendUint64(s.enc, s.lsn)
-	s.enc = binary.BigEndian.AppendUint32(s.enc, uint32(len(run)))
+	start := len(s.wbuf)
+	s.wbuf = wire.AppendFrameHeader(s.wbuf, recordHeaderBytes+len(run)*wire.OpBytes)
+	crcAt := len(s.wbuf)
+	s.wbuf = append(s.wbuf, 0, 0, 0, 0)
+	s.wbuf = binary.BigEndian.AppendUint64(s.wbuf, s.lsn)
+	s.wbuf = binary.BigEndian.AppendUint32(s.wbuf, uint32(len(run)))
 	for _, op := range run {
-		s.enc = wire.AppendOp(s.enc, op.Del, op.Key)
+		s.wbuf = wire.AppendOp(s.wbuf, op.Del, op.Key)
 	}
-	binary.BigEndian.PutUint32(s.enc[crcAt:], crc32.Checksum(s.enc[crcAt+4:], castagnoli))
-	s.wbuf = append(s.wbuf, s.enc...)
+	binary.BigEndian.PutUint32(s.wbuf[crcAt:], crc32.Checksum(s.wbuf[crcAt+4:], castagnoli))
+	n := int64(len(s.wbuf) - start)
 	s.dirty = true
 	s.unsynced += len(run)
-	s.sinceSnap += int64(len(s.enc))
-	// The mirror mutates under mu, so its version at LSN L is exactly
-	// the membership after records 1…L — the snapshot consistency
-	// argument rests on this apply running before mu releases. The batch
-	// form path-copies the union of the run's paths once, not once per
-	// op: the run arrives sorted and deduplicated (the facade's
-	// SortDedup), which is exactly ApplyBatch's contract.
-	s.mops = s.mops[:0]
-	for _, op := range run {
-		s.mops = append(s.mops, versioned.BatchOp{Key: op.Key, Del: op.Del})
-	}
-	s.mirror.ApplyBatch(s.mops)
+	s.sinceSnap += n
 	hint := int64(s.id)
 	l.cRecords.Inc(hint)
 	l.cOps.Add(hint, int64(len(run)))
-	l.cBytes.Add(hint, int64(len(s.enc)))
+	l.cBytes.Add(hint, n)
 }
 
 // flushLocked pushes buffered bytes to the segment file.
@@ -369,22 +396,16 @@ func (s *shardLog) flushLocked(l *Log) {
 }
 
 // syncLocked flushes and fsyncs the current segment without releasing
-// mu. The rotation, ticker, manual-Sync and shutdown path: rare, or
-// needing the shard quiesced (rotation closes the file right after).
+// mu, so every record appended so far is durable when it returns — also
+// bytes a group commit flushed before releasing mu and has not fsynced
+// yet, which dirty no longer shows. The rotation, ticker, manual-Sync,
+// checkpoint and shutdown path: rare, or needing the shard quiesced
+// (rotation closes the file right after).
 func (s *shardLog) syncLocked(l *Log) {
 	s.flushLocked(l)
-	if !s.dirty {
-		return
-	}
-	start := time.Now()
-	if err := fsyncFile(s.f); err != nil {
-		l.setErr(fmt.Errorf("wal: shard %d fsync: %w", s.id, err))
-		return
-	}
-	l.hFsyncNS.Record(int64(time.Since(start)))
-	l.cFsyncs.Inc(int64(s.id))
-	s.unsynced = 0
 	s.dirty = false
+	s.unsynced = 0
+	s.fsyncThrough(l, s.f, s.flushSeq.Load())
 }
 
 // groupSyncUnlock is the count-policy fsync — the one on the append hot
@@ -410,7 +431,12 @@ func (s *shardLog) groupSyncUnlock(l *Log) {
 	s.dirty = false
 	s.unsynced = 0
 	s.mu.Unlock()
+	s.fsyncThrough(l, f, seq)
+}
 
+// fsyncThrough makes every flush up to seq of segment f durable, unless
+// a completed fsync or f's rotation already did.
+func (s *shardLog) fsyncThrough(l *Log, f *os.File, seq uint64) {
 	s.fsyncMu.Lock()
 	if s.curF != f || s.syncedSeq >= seq {
 		s.fsyncMu.Unlock()

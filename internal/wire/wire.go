@@ -67,17 +67,6 @@ func ReadFrame(r *bufio.Reader, buf []byte, limit int) ([]byte, error) {
 	return buf, nil
 }
 
-// WriteFrame writes one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	var lb [FrameHeaderBytes]byte
-	binary.BigEndian.PutUint32(lb[:], uint32(len(payload)))
-	if _, err := w.Write(lb[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
 // AppendFrameHeader appends the length prefix for a payload of n bytes.
 func AppendFrameHeader(dst []byte, n int) []byte {
 	var lb [FrameHeaderBytes]byte

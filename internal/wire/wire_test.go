@@ -3,20 +3,24 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 	"testing/iotest"
 )
 
-// TestFrameRoundTrip: WriteFrame then ReadFrame returns the payload,
-// reusing the caller's buffer when it is big enough.
+// frame returns payload behind its length prefix.
+func frame(payload []byte) []byte {
+	return append(AppendFrameHeader(nil, len(payload)), payload...)
+}
+
+// TestFrameRoundTrip: a framed payload reads back through ReadFrame,
+// which reuses the caller's buffer when it is big enough.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{{1}, []byte("hello"), bytes.Repeat([]byte{0xab}, 300)}
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
-		}
+		buf.Write(frame(p))
 	}
 	rd := bufio.NewReader(&buf)
 	scratch := make([]byte, 0, 8)
@@ -43,9 +47,7 @@ func TestFrameLimits(t *testing.T) {
 		t.Fatal("zero-length frame accepted")
 	}
 	buf.Reset()
-	if err := WriteFrame(&buf, make([]byte, 17)); err != nil {
-		t.Fatal(err)
-	}
+	buf.Write(frame(make([]byte, 17)))
 	if _, err := ReadFrame(bufio.NewReader(&buf), nil, 16); err == nil {
 		t.Fatal("over-limit frame accepted")
 	}
@@ -56,8 +58,7 @@ func TestFrameLimits(t *testing.T) {
 // reads io.EOF, one that ends inside a frame reads io.ErrUnexpectedEOF,
 // and a whole frame reads fine however the stream splits it.
 func TestFrameTornStream(t *testing.T) {
-	frame := AppendFrameHeader(nil, 5)
-	frame = append(frame, "hello"...)
+	hello := frame([]byte("hello"))
 	for _, tc := range []struct {
 		name    string
 		stream  []byte
@@ -65,15 +66,15 @@ func TestFrameTornStream(t *testing.T) {
 		want    error
 	}{
 		{"empty", nil, false, io.EOF},
-		{"1 header byte", frame[:1], false, io.ErrUnexpectedEOF},
-		{"2 header bytes", frame[:2], false, io.ErrUnexpectedEOF},
-		{"3 header bytes", frame[:3], false, io.ErrUnexpectedEOF},
-		{"3 header bytes, one per read", frame[:3], true, io.ErrUnexpectedEOF},
-		{"header only", frame[:4], false, io.ErrUnexpectedEOF},
-		{"short payload", frame[:7], false, io.ErrUnexpectedEOF},
-		{"short payload, one per read", frame[:7], true, io.ErrUnexpectedEOF},
-		{"whole frame", frame, false, nil},
-		{"whole frame, one per read", frame, true, nil},
+		{"1 header byte", hello[:1], false, io.ErrUnexpectedEOF},
+		{"2 header bytes", hello[:2], false, io.ErrUnexpectedEOF},
+		{"3 header bytes", hello[:3], false, io.ErrUnexpectedEOF},
+		{"3 header bytes, one per read", hello[:3], true, io.ErrUnexpectedEOF},
+		{"header only", hello[:4], false, io.ErrUnexpectedEOF},
+		{"short payload", hello[:7], false, io.ErrUnexpectedEOF},
+		{"short payload, one per read", hello[:7], true, io.ErrUnexpectedEOF},
+		{"whole frame", hello, false, nil},
+		{"whole frame, one per read", hello, true, nil},
 	} {
 		var r io.Reader = bytes.NewReader(tc.stream)
 		if tc.oneByte {
@@ -108,9 +109,7 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 // TestReadFrameNoAlloc: with a buffer large enough for the payload,
 // reading a frame allocates nothing — not even for its 4-byte header.
 func TestReadFrameNoAlloc(t *testing.T) {
-	frame := AppendFrameHeader(nil, 17)
-	frame = append(frame, make([]byte, 17)...)
-	rd := bufio.NewReader(&repeatReader{frame: frame})
+	rd := bufio.NewReader(&repeatReader{frame: frame(make([]byte, 17))})
 	buf := make([]byte, 0, 64)
 	allocs := testing.AllocsPerRun(1000, func() {
 		p, err := ReadFrame(rd, buf, 64)
@@ -123,15 +122,17 @@ func TestReadFrameNoAlloc(t *testing.T) {
 	}
 }
 
-// TestAppendFrameHeader matches WriteFrame's prefix.
+// TestAppendFrameHeader: the prefix is the payload length, 4 bytes
+// big-endian, appended after what dst already holds.
 func TestAppendFrameHeader(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("abc")); err != nil {
-		t.Fatal(err)
-	}
-	hdr := AppendFrameHeader(nil, 3)
-	if !bytes.Equal(hdr, buf.Bytes()[:4]) {
-		t.Fatalf("header %v, want %v", hdr, buf.Bytes()[:4])
+	for _, tc := range []struct {
+		n    int
+		want []byte
+	}{{3, []byte{0, 0, 0, 3}}, {300, []byte{0, 0, 1, 44}}, {1 << 24, []byte{1, 0, 0, 0}}} {
+		got := AppendFrameHeader([]byte{9}, tc.n)
+		if !bytes.Equal(got, append([]byte{9}, tc.want...)) {
+			t.Fatalf("AppendFrameHeader(n=%d) = %v, want 9 then %v", tc.n, got, tc.want)
+		}
 	}
 }
 
@@ -165,4 +166,73 @@ func TestOpDecodeErrors(t *testing.T) {
 	if _, _, err := DecodeOp(bad); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
+}
+
+// FuzzReadFrame: over any byte stream ReadFrame never panics, every frame
+// it returns re-frames to exactly the bytes it consumed, and the stream
+// ends as the contract says — io.EOF only between frames,
+// io.ErrUnexpectedEOF only inside one.
+func FuzzReadFrame(f *testing.F) {
+	f.Add(frame([]byte("hello")), 16)
+	f.Add(append(frame([]byte{1}), frame([]byte{2, 3})...), 16)
+	f.Add([]byte{0, 0, 0, 0}, 16)
+	f.Add([]byte{0, 0, 0, 17, 1}, 16)
+	f.Add([]byte{0, 0, 0, 5, 'h', 'e'}, 16)
+	f.Add([]byte{0, 0}, 16)
+	f.Fuzz(func(t *testing.T, stream []byte, limit int) {
+		if limit < 1 || limit > 1<<16 {
+			limit = 1 << 16
+		}
+		rd := bufio.NewReader(bytes.NewReader(stream))
+		var consumed []byte
+		for {
+			p, err := ReadFrame(rd, nil, limit)
+			rest := stream[len(consumed):]
+			switch {
+			case err == nil:
+				if len(p) == 0 || len(p) > limit {
+					t.Fatalf("payload %d bytes outside (0, %d]", len(p), limit)
+				}
+				consumed = append(consumed, frame(p)...)
+				if !bytes.HasPrefix(stream, consumed) {
+					t.Fatalf("frame %x does not match the stream", frame(p))
+				}
+				continue
+			case err == io.EOF:
+				if len(rest) != 0 {
+					t.Fatalf("io.EOF with %d bytes unread", len(rest))
+				}
+			case err == io.ErrUnexpectedEOF:
+				if len(rest) >= FrameHeaderBytes && FrameHeaderBytes+int(binary.BigEndian.Uint32(rest)) <= len(rest) {
+					t.Fatalf("io.ErrUnexpectedEOF with a whole frame unread: %x", rest)
+				}
+			default: // a zero or over-limit length
+				if len(rest) < FrameHeaderBytes {
+					t.Fatalf("%v with only %d bytes unread", err, len(rest))
+				}
+				if n := int(binary.BigEndian.Uint32(rest)); n != 0 && n <= limit {
+					t.Fatalf("length %d within (0, %d] rejected: %v", n, limit, err)
+				}
+			}
+			return
+		}
+	})
+}
+
+// FuzzDecodeOp: DecodeOp never panics, and a record it accepts re-encodes
+// to the bytes it read.
+func FuzzDecodeOp(f *testing.F) {
+	f.Add(AppendOp(nil, false, 7))
+	f.Add(AppendOp(nil, true, -1))
+	f.Add([]byte{KindInsert, 0})
+	f.Add([]byte{99, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, p []byte) {
+		key, del, err := DecodeOp(p)
+		if err != nil {
+			return
+		}
+		if got := AppendOp(nil, del, key); !bytes.Equal(got, p[:OpBytes]) {
+			t.Fatalf("DecodeOp(%x) = (%d, %v), which re-encodes to %x", p[:OpBytes], key, del, got)
+		}
+	})
 }

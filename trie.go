@@ -446,8 +446,7 @@ func (t *Trie) AdaptiveStats() (enables, disables int64) { return t.st.AdaptiveS
 // insert increments its shard's counter before the core operation and
 // rolls back on a lost race. At any quiescent instant — no update in
 // flight — Len is exactly |S|. Use Keys and count when an exact answer
-// under concurrency is needed, or the versioned snapshot trie for an
-// atomic view.
+// under concurrency is needed.
 func (t *Trie) Len() int64 { return t.set.Len() }
 
 func (t *Trie) check(x int64) error {
@@ -591,8 +590,7 @@ func (t *Trie) Max() (int64, error) {
 // linearizable Floor/Predecessor steps, so each visited key was present at
 // some instant during the scan, but the scan as a whole is weakly
 // consistent (like sync.Map.Range): keys inserted or deleted mid-scan may
-// or may not be visited. For an atomic snapshot use the versioned trie in
-// internal/versioned.
+// or may not be visited.
 func (t *Trie) Range(lo, hi int64, fn func(key int64) bool) error {
 	if err := t.check(lo); err != nil {
 		return err
