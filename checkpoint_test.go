@@ -3,6 +3,9 @@ package lockfreetrie_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -172,6 +175,66 @@ func TestDurableCheckpointStress(t *testing.T) {
 			}
 			if rs := tr2.RecoveryStats(); rs.SnapshotKeys == 0 {
 				t.Fatalf("RecoveryStats = %+v: recovery loaded no checkpoint", rs)
+			}
+		})
+	}
+}
+
+// TestFirstCheckpointSizedFromLiveSet: the first checkpoint after
+// filling an empty durable trie sizes its buffer from the shards'
+// occupancy counts, so it allocates about the snapshot file's size once
+// rather than growing a buffer from nothing by append. One stripe over
+// four shards sums whole shards' counts; four stripes over one shard
+// take a share of its count.
+func TestFirstCheckpointSizedFromLiveSet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gate: pools drop entries under -race")
+	}
+	const u, n = 1 << 20, 1 << 19
+	for _, g := range []struct{ k, stripes int }{{4, 1}, {1, 4}} {
+		t.Run(fmt.Sprintf("k%d_stripes%d", g.k, g.stripes), func(t *testing.T) {
+			dir := t.TempDir()
+			tr, err := lockfreetrie.New(u, lockfreetrie.WithShards(g.k),
+				lockfreetrie.WithDurability(dir, lockfreetrie.WithWALShards(g.stripes),
+					lockfreetrie.WithSyncEvery(n), lockfreetrie.WithSnapshotBytes(-1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			ops := make([]lockfreetrie.Op, 0, 1024)
+			for x := int64(0); x < u; x += 2 {
+				ops = append(ops, lockfreetrie.Op{Kind: lockfreetrie.OpInsert, Key: x})
+				if len(ops) == cap(ops) {
+					if errs := tr.ApplyBatch(ops); errs != nil {
+						t.Fatal(errs)
+					}
+					ops = ops[:0]
+				}
+			}
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := tr.SnapshotWAL(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+			if err != nil || len(snaps) != g.stripes {
+				t.Fatalf("snapshot files %v (%v), want %d", snaps, err, g.stripes)
+			}
+			var file int64
+			for _, p := range snaps {
+				st, err := os.Stat(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				file += st.Size()
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%d keys: SnapshotWAL allocated %.1f MB for %.1f MB of snapshot files (%.2fx)",
+				n, float64(alloc)/1e6, float64(file)/1e6, float64(alloc)/float64(file))
+			if float64(alloc) > 1.5*float64(file) {
+				t.Fatalf("SnapshotWAL allocated %d B for %d B of snapshot files, want ≤ 1.5x", alloc, file)
 			}
 		})
 	}

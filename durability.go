@@ -199,6 +199,25 @@ func liveKeys(st *sharded.Trie) wal.LiveKeys {
 	}
 }
 
+// liveCount is the WAL's estimate of the keys liveKeys will emit in
+// [lo, hi], from the shards' occupancy summaries, which never fall below
+// their shard's cardinality. Stripes and shards are aligned powers of
+// two, so a stripe covers whole shards, where the sum is a bound, or a
+// part of one, whose count it takes in proportion.
+func liveCount(st *sharded.Trie) wal.LiveCount {
+	w := st.ShardWidth()
+	return func(lo, hi int64) int {
+		if part := w / (hi - lo + 1); part > 1 {
+			return int((st.ShardLen(int(lo/w)) + part - 1) / part)
+		}
+		var n int64
+		for j := lo / w; j <= hi/w; j++ {
+			n += st.ShardLen(int(j))
+		}
+		return int(n)
+	}
+}
+
 // RecoveryStats reports what WithDurability reconstructed at New.
 type RecoveryStats struct {
 	// Keys is the recovered set cardinality.
@@ -218,7 +237,7 @@ type RecoveryStats struct {
 // further update is logged before it applies. Runs inside New, before
 // the trie is published.
 func (t *Trie) attachDurability(dc *durConfig) error {
-	log, rec, err := wal.Open(dc.dir, t.st.U(), dc.opts, liveKeys(t.st))
+	log, rec, err := wal.Open(dc.dir, t.st.U(), dc.opts, liveKeys(t.st), liveCount(t.st))
 	if err != nil {
 		return fmt.Errorf("lockfreetrie: WithDurability: %w", err)
 	}

@@ -226,8 +226,8 @@ func (t *Trie) InterpretedBit(i int64) int {
 		return 1
 	}
 	h := t.height(i)
-	if h <= int(uNode.Upper0Boundary.Load()) {
-		if h < uNode.Lower1Boundary.Read() && t.oracle.FirstActivated(uNode) {
+	if h <= uNode.Upper0(t.b) {
+		if h < uNode.Lower1().Read() && t.oracle.FirstActivated(uNode) {
 			return 0
 		}
 	}
@@ -246,6 +246,7 @@ func (t *Trie) InterpretedBitOfLeaf(x int64) int { return t.InterpretedBit(t.lea
 // published before the MinWrite can lower it. Wait-free: at most b
 // iterations with a constant number of steps each.
 func (t *Trie) InsertBinaryTrie(iNode *unode.UpdateNode) {
+	target := &iNode.Ins().Target
 	for i := parent(t.leafIndex(iNode.Key)); i >= 1; i = parent(i) {
 		uNode := t.oracle.FindLatest(t.depKey(i))
 		if uNode.Kind != unode.Del {
@@ -254,18 +255,18 @@ func (t *Trie) InsertBinaryTrie(iNode *unode.UpdateNode) {
 		d := t.nodes[i].dNodePtr.Load()
 		// Paper line 42. With a nil dNodePtr (virtual dummy), the second
 		// disjunct is true because a dummy has upper0Boundary = b ≥ height.
-		if d != uNode && t.height(i) > int(uNode.Upper0Boundary.Load()) {
+		if d != uNode && t.height(i) > uNode.Upper0(t.b) {
 			continue
 		}
-		iNode.Target.Store(uNode)
+		target.Store(uNode)
 		if !t.oracle.FirstActivated(iNode) {
 			return
 		}
-		if h := t.height(i); h < uNode.Lower1Boundary.Read() {
+		if h, l1 := t.height(i), uNode.Lower1(); h < l1.Read() {
 			if t.stats != nil {
 				t.stats.MinWrites.Add(1)
 			}
-			uNode.Lower1Boundary.MinWrite(h)
+			l1.MinWrite(h)
 		}
 	}
 }
@@ -278,6 +279,7 @@ func (t *Trie) InsertBinaryTrie(iNode *unode.UpdateNode) {
 // interfering with the latest one (see Lemma 4.14). Wait-free: at most b
 // iterations, constant steps each.
 func (t *Trie) DeleteBinaryTrie(dNode *unode.UpdateNode) {
+	del := dNode.Del()
 	i := t.leafIndex(dNode.Key)
 	for i > 1 { // while t is not the root
 		if t.InterpretedBit(sibling(i)) == 1 || t.InterpretedBit(i) == 1 {
@@ -288,7 +290,7 @@ func (t *Trie) DeleteBinaryTrie(dNode *unode.UpdateNode) {
 		if !t.oracle.FirstActivated(dNode) {
 			return
 		}
-		if dNode.Stop.Load() || dNode.Lower1Boundary.Read() != t.b+1 {
+		if dNode.Stopped() || del.Lower1Boundary.Read() != t.b+1 {
 			return
 		}
 		if !t.casDNodePtr(i, d, dNode, 1) {
@@ -299,7 +301,7 @@ func (t *Trie) DeleteBinaryTrie(dNode *unode.UpdateNode) {
 			if !t.oracle.FirstActivated(dNode) {
 				return
 			}
-			if dNode.Stop.Load() || dNode.Lower1Boundary.Read() != t.b+1 {
+			if dNode.Stopped() || del.Lower1Boundary.Read() != t.b+1 {
 				return
 			}
 			if !t.casDNodePtr(i, d, dNode, 2) {
@@ -312,7 +314,7 @@ func (t *Trie) DeleteBinaryTrie(dNode *unode.UpdateNode) {
 		if t.InterpretedBit(leftChild(i)) == 1 || t.InterpretedBit(rightChild(i)) == 1 {
 			return
 		}
-		dNode.Upper0Boundary.Store(int32(t.height(i)))
+		del.Upper0Boundary.Store(int32(t.height(i)))
 	}
 }
 

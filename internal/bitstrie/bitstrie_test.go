@@ -173,20 +173,20 @@ func TestInterpretedBitCases(t *testing.T) {
 	if got := tr.InterpretedBit(node2); got != 1 {
 		t.Errorf("internal bit with u0b=0 = %d, want 1 (h=1 > u0b)", got)
 	}
-	dNode.Upper0Boundary.Store(1)
+	dNode.Del().Upper0Boundary.Store(1)
 	if got := tr.InterpretedBit(node2); got != 0 {
 		t.Errorf("internal bit with u0b=1 = %d, want 0", got)
 	}
 
 	// lower1Boundary below height forces 1 (insert raced past).
-	dNode.Lower1Boundary.MinWrite(1)
+	dNode.Lower1().MinWrite(1)
 	if got := tr.InterpretedBit(node2); got != 1 {
 		t.Errorf("internal bit with l1b=1,h=1 = %d, want 1", got)
 	}
 
 	// Outdated DEL node (not first activated) reads 1.
 	dNode2 := unode.NewDel(1, tr.B())
-	dNode2.Upper0Boundary.Store(1)
+	dNode2.Del().Upper0Boundary.Store(1)
 	o.set(1, dNode2)
 	tr.nodes[node2].dNodePtr.Store(dNode2)
 	o.markOutdated(dNode2)
@@ -202,9 +202,9 @@ func figure2Setup(t *testing.T) (*Trie, *scriptOracle, *unode.UpdateNode, *unode
 	t.Helper()
 	tr, o := newEngine(t, 4)
 	d0 := unode.NewDel(0, tr.B())
-	d0.Upper0Boundary.Store(1)
+	d0.Del().Upper0Boundary.Store(1)
 	d3 := unode.NewDel(3, tr.B())
-	d3.Upper0Boundary.Store(2)
+	d3.Del().Upper0Boundary.Store(2)
 	o.set(0, d0)
 	o.set(3, d3)
 	tr.nodes[2].dNodePtr.Store(d0)
@@ -242,11 +242,11 @@ func TestFigure2InsertLowersBoundary(t *testing.T) {
 	if got := tr.InterpretedBit(1); got != 1 {
 		t.Errorf("root bit after insert = %d, want 1", got)
 	}
-	if got := d3.Lower1Boundary.Read(); got != 2 {
+	if got := d3.Lower1().Read(); got != 2 {
 		t.Errorf("d3 lower1Boundary = %d, want 2 (root height)", got)
 	}
-	if iNode.Target.Load() != d3 {
-		t.Errorf("iNode.target = %v, want d3", iNode.Target.Load())
+	if iNode.Ins().Target.Load() != d3 {
+		t.Errorf("iNode.target = %v, want d3", iNode.Ins().Target.Load())
 	}
 	if tr.DNodePtr(1) != d3 {
 		t.Error("insert must not change the root's dNodePtr")
@@ -264,10 +264,10 @@ func TestInsertStopsWhenNotFirstActivated(t *testing.T) {
 	if got := tr.InterpretedBit(1); got != 0 {
 		t.Errorf("root bit = %d, want 0 (stopped insert)", got)
 	}
-	if got := d3.Lower1Boundary.Read(); got != 3 {
+	if got := d3.Lower1().Read(); got != 3 {
 		t.Errorf("d3 lower1Boundary = %d, want 3 (untouched)", got)
 	}
-	if iNode.Target.Load() != d3 {
+	if iNode.Ins().Target.Load() != d3 {
 		t.Error("insert should have set target before stopping")
 	}
 }
@@ -292,7 +292,7 @@ func TestDeleteBinaryTriePropagatesToRoot(t *testing.T) {
 	if tr.DNodePtr(2) != dNode || tr.DNodePtr(1) != dNode {
 		t.Error("delete should own the path's dNodePtrs")
 	}
-	if got := dNode.Upper0Boundary.Load(); got != int32(tr.B()) {
+	if got := dNode.Del().Upper0Boundary.Load(); got != int32(tr.B()) {
 		t.Errorf("upper0Boundary = %d, want %d", got, tr.B())
 	}
 }
@@ -315,7 +315,7 @@ func TestDeleteStopsWhenSiblingPresent(t *testing.T) {
 	if got := tr.InterpretedBit(2); got != 1 {
 		t.Errorf("node2 bit = %d, want 1 (sibling present)", got)
 	}
-	if got := dNode.Upper0Boundary.Load(); got != 0 {
+	if got := dNode.Del().Upper0Boundary.Load(); got != 0 {
 		t.Errorf("upper0Boundary = %d, want 0 (no propagation)", got)
 	}
 }
@@ -327,7 +327,7 @@ func TestDeleteStopsOnStopFlag(t *testing.T) {
 	tr.InsertBinaryTrie(iNode)
 	dNode := unode.NewDel(0, tr.B())
 	o.set(0, dNode)
-	dNode.Stop.Store(true) // a concurrent insert asked us to stand down
+	dNode.SetStop() // a concurrent insert asked us to stand down
 	tr.DeleteBinaryTrie(dNode)
 	if tr.DNodePtr(2) == dNode {
 		t.Error("stopped delete must not install its DEL node")
@@ -341,7 +341,7 @@ func TestDeleteStopsOnLoweredBoundary(t *testing.T) {
 	tr.InsertBinaryTrie(iNode)
 	dNode := unode.NewDel(0, tr.B())
 	o.set(0, dNode)
-	dNode.Lower1Boundary.MinWrite(1) // insert already re-raised this subtrie
+	dNode.Lower1().MinWrite(1) // insert already re-raised this subtrie
 	tr.DeleteBinaryTrie(dNode)
 	if tr.DNodePtr(2) == dNode {
 		t.Error("delete with lowered boundary must not install its DEL node")

@@ -213,8 +213,8 @@ func (t *Trie) applyBatchedInsert(iNode, dNode *unode.UpdateNode, s *ebr.Slot) b
 	x := iNode.Key
 	iNode.LatestNext.Store(dNode)
 	if ln := dNode.LatestNext.Load(); ln != nil { // line 168
-		if tg := ln.Target.Load(); tg != nil {
-			tg.Stop.Store(true)
+		if tg := ln.Ins().Target.Load(); tg != nil {
+			tg.SetStop()
 		}
 	}
 	dNode.LatestNext.Store(nil) // line 169
@@ -223,13 +223,13 @@ func (t *Trie) applyBatchedInsert(iNode, dNode *unode.UpdateNode, s *ebr.Slot) b
 		t.helpActivate(t.latest[x].Load(), s) // line 171
 		return false
 	}
-	t.ruall.Insert(iNode, s)               // line 173 (U-ALL half done in phase 2)
-	iNode.Status.Store(unode.StatusActive) // line 174: linearization point
-	iNode.LatestNext.Store(nil)            // line 175
-	t.bits.InsertBinaryTrie(iNode)         // line 176
-	t.notifyPredOps(iNode)                 // line 177
-	iNode.Completed.Store(true)            // line 178
-	t.uall.Remove(iNode, s)                // line 179
+	t.ruall.Insert(iNode, s)       // line 173 (U-ALL half done in phase 2)
+	iNode.Activate()               // line 174: linearization point
+	iNode.LatestNext.Store(nil)    // line 175
+	t.bits.InsertBinaryTrie(iNode) // line 176
+	t.notifyPredOps(iNode)         // line 177
+	iNode.SetCompleted()           // line 178
+	t.uall.Remove(iNode, s)        // line 179
 	t.ruall.Remove(iNode, s)
 	return true
 }
@@ -242,8 +242,9 @@ func (t *Trie) applyBatchedInsert(iNode, dNode *unode.UpdateNode, s *ebr.Slot) b
 // the node is activated (which orders after).
 func (t *Trie) applyBatchedDelete(dNode, iNode *unode.UpdateNode, s *ebr.Slot) bool {
 	x := dNode.Key
+	del := dNode.Del()
 	delPred, pNode1 := t.predHelper(x, s) // line 184: first embedded predecessor
-	dNode.DelPred = delPred
+	del.DelPred = delPred
 	setDelPredNode(dNode, pNode1)
 	dNode.LatestNext.Store(iNode)
 	iNode.LatestNext.Store(nil) // line 190
@@ -253,17 +254,17 @@ func (t *Trie) applyBatchedDelete(dNode, iNode *unode.UpdateNode, s *ebr.Slot) b
 		t.pall.remove(pNode1, s)              // line 194: never published in dNode
 		return false
 	}
-	t.ruall.Insert(dNode, s)                  // line 196 (U-ALL half done in phase 2)
-	dNode.Status.Store(unode.StatusActive)    // line 197: linearization point
-	if tg := iNode.Target.Load(); tg != nil { // line 198
-		tg.Stop.Store(true)
+	t.ruall.Insert(dNode, s)                        // line 196 (U-ALL half done in phase 2)
+	dNode.Activate()                                // line 197: linearization point
+	if tg := iNode.Ins().Target.Load(); tg != nil { // line 198
+		tg.SetStop()
 	}
 	dNode.LatestNext.Store(nil)            // line 199
 	delPred2, pNode2 := t.predHelper(x, s) // line 200
-	dNode.DelPred2.Store(delPred2)         // line 201
+	del.DelPred2.Store(delPred2)           // line 201
 	t.bits.DeleteBinaryTrie(dNode)         // line 202
 	t.notifyPredOps(dNode)                 // line 203
-	dNode.Completed.Store(true)            // line 204
+	dNode.SetCompleted()                   // line 204
 	t.uall.Remove(dNode, s)                // line 205
 	t.ruall.Remove(dNode, s)
 	// pNode1 retires normally (line 206): the only deref of a published

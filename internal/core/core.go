@@ -143,7 +143,7 @@ func (t *Trie) Search(x int64) bool {
 	if p == nil {
 		return false // virtual dummy DEL: x was never inserted
 	}
-	if p.Status.Load() == unode.StatusInactive {
+	if !p.Active() {
 		if p2 := p.LatestNext.Load(); p2 != nil {
 			p = p2
 		}
@@ -180,8 +180,8 @@ func (t *Trie) Add(x int64) bool {
 	// attacking, in case that Insert stalled between its target write and
 	// its MinWrite. Ignore ⊥ links.
 	if ln := dNode.LatestNext.Load(); ln != nil {
-		if tg := ln.Target.Load(); tg != nil {
-			tg.Stop.Store(true)
+		if tg := ln.Ins().Target.Load(); tg != nil {
+			tg.SetStop()
 		}
 	}
 	dNode.LatestNext.Store(nil) // line 169: reopen the latest[x] list
@@ -197,12 +197,12 @@ func (t *Trie) Add(x int64) bool {
 	}
 	t.uall.Insert(iNode, s) // line 173
 	t.ruall.Insert(iNode, s)
-	iNode.Status.Store(unode.StatusActive) // line 174: linearization point
-	iNode.LatestNext.Store(nil)            // line 175
-	t.bits.InsertBinaryTrie(iNode)         // line 176
-	t.notifyPredOps(iNode)                 // line 177
-	iNode.Completed.Store(true)            // line 178
-	t.uall.Remove(iNode, s)                // line 179
+	iNode.Activate()               // line 174: linearization point
+	iNode.LatestNext.Store(nil)    // line 175
+	t.bits.InsertBinaryTrie(iNode) // line 176
+	t.notifyPredOps(iNode)         // line 177
+	iNode.SetCompleted()           // line 178
+	t.uall.Remove(iNode, s)        // line 179
 	t.ruall.Remove(iNode, s)
 	return true
 }
@@ -226,8 +226,9 @@ func (t *Trie) Remove(x int64) bool {
 	defer s.Unpin()
 	delPred, pNode1 := t.predHelper(x, s) // line 184: first embedded predecessor
 	dNode := unode.NewDel(x, t.b)
+	del := dNode.Del()
 	dNode.LatestNext.Store(iNode)
-	dNode.DelPred = delPred
+	del.DelPred = delPred
 	setDelPredNode(dNode, pNode1)
 	iNode.LatestNext.Store(nil) // line 190
 	t.notifyPredOps(iNode)      // line 191: help the previous Insert notify
@@ -241,18 +242,18 @@ func (t *Trie) Remove(x int64) bool {
 	}
 	t.uall.Insert(dNode, s) // line 196
 	t.ruall.Insert(dNode, s)
-	dNode.Status.Store(unode.StatusActive) // line 197: linearization point
+	dNode.Activate() // line 197: linearization point
 	// Line 198: stop the Delete whose DEL node the replaced Insert was
 	// attacking; that Insert's MinWrite will not arrive on our behalf.
-	if tg := iNode.Target.Load(); tg != nil {
-		tg.Stop.Store(true)
+	if tg := iNode.Ins().Target.Load(); tg != nil {
+		tg.SetStop()
 	}
 	dNode.LatestNext.Store(nil)            // line 199
 	delPred2, pNode2 := t.predHelper(x, s) // line 200: second embedded predecessor
-	dNode.DelPred2.Store(delPred2)         // line 201
+	del.DelPred2.Store(delPred2)           // line 201
 	t.bits.DeleteBinaryTrie(dNode)         // line 202
 	t.notifyPredOps(dNode)                 // line 203
-	dNode.Completed.Store(true)            // line 204
+	dNode.SetCompleted()                   // line 204
 	t.uall.Remove(dNode, s)                // line 205
 	t.ruall.Remove(dNode, s)
 	t.pall.remove(pNode1, s) // line 206

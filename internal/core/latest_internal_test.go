@@ -31,7 +31,7 @@ func TestLoadLatestMaterializesDummy(t *testing.T) {
 func TestFindLatestSkipsInactiveHead(t *testing.T) {
 	tr := mustNew(t, 8)
 	active := unode.NewIns(2)
-	active.Status.Store(unode.StatusActive)
+	active.Activate()
 	inactive := unode.NewDel(2, tr.b)
 	inactive.LatestNext.Store(active)
 	tr.latest[2].Store(inactive)
@@ -43,7 +43,7 @@ func TestFindLatestSkipsInactiveHead(t *testing.T) {
 	}
 
 	// Once the head activates and resets latestNext, it is the answer.
-	inactive.Status.Store(unode.StatusActive)
+	inactive.Activate()
 	inactive.LatestNext.Store(nil)
 	if got := tr.findLatest(2); got != inactive {
 		t.Fatalf("findLatest = %v, want the (now active) head", got)
@@ -64,7 +64,7 @@ func TestFindLatestInactiveHeadWithNilNext(t *testing.T) {
 func TestFirstActivatedCases(t *testing.T) {
 	tr := mustNew(t, 8)
 	active := unode.NewIns(4)
-	active.Status.Store(unode.StatusActive)
+	active.Activate()
 	tr.latest[4].Store(active)
 	if !tr.firstActivated(active) {
 		t.Error("directly-latest active node must be first activated")
@@ -86,7 +86,7 @@ func TestFirstActivatedCases(t *testing.T) {
 	}
 
 	// Activating the head dethrones the old node.
-	newer.Status.Store(unode.StatusActive)
+	newer.Activate()
 	newer.LatestNext.Store(nil)
 	if tr.firstActivated(active) {
 		t.Error("superseded node still reported first activated")
@@ -97,7 +97,7 @@ func TestFirstActivatedCases(t *testing.T) {
 
 	// Keys whose latest was never touched: a concrete node is never first.
 	stranger := unode.NewIns(6)
-	stranger.Status.Store(unode.StatusActive)
+	stranger.Activate()
 	if tr.firstActivated(stranger) {
 		t.Error("node for untouched key cannot be first activated")
 	}
@@ -106,9 +106,9 @@ func TestFirstActivatedCases(t *testing.T) {
 func TestHelpActivateFullPath(t *testing.T) {
 	tr := mustNew(t, 8)
 	prevIns := unode.NewIns(5)
-	prevIns.Status.Store(unode.StatusActive)
+	prevIns.Activate()
 	victimDel := unode.NewDel(3, tr.b) // the DEL node the previous insert attacked
-	prevIns.Target.Store(victimDel)
+	prevIns.Ins().Target.Store(victimDel)
 
 	dNode := unode.NewDel(5, tr.b)
 	dNode.LatestNext.Store(prevIns)
@@ -122,7 +122,7 @@ func TestHelpActivateFullPath(t *testing.T) {
 	if dNode.LatestNext.Load() != nil {
 		t.Error("latestNext must be reset to ⊥ (line 134)")
 	}
-	if !victimDel.Stop.Load() {
+	if !victimDel.Stopped() {
 		t.Error("DEL activation must perform the stop handshake (line 133)")
 	}
 	if !tr.uall.Contains(dNode) || !tr.ruall.Contains(dNode) {
@@ -138,7 +138,7 @@ func TestHelpActivateFullPath(t *testing.T) {
 func TestHelpActivateRemovesCompletedNode(t *testing.T) {
 	tr := mustNew(t, 8)
 	iNode := unode.NewIns(2)
-	iNode.Completed.Store(true) // owner already finished; helper re-adds
+	iNode.SetCompleted() // owner already finished; helper re-adds
 	tr.latest[2].Store(iNode)
 
 	tr.helpActivate(iNode, nil)
@@ -181,9 +181,9 @@ func TestConcurrentHelpActivate(t *testing.T) {
 		go func() { // the owner's tail: complete and withdraw
 			defer wg.Done()
 			<-start
-			iNode.Status.Store(unode.StatusActive)
+			iNode.Activate()
 			iNode.LatestNext.Store(nil)
-			iNode.Completed.Store(true)
+			iNode.SetCompleted()
 			tr.uall.Remove(iNode, nil)
 			tr.ruall.Remove(iNode, nil)
 		}()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -38,10 +39,11 @@ func sparseKey(i int64) int64 { return i*64 + (i*37)%64 }
 
 // TestSparseBytesPerKey pins what a sparse set costs per key on top of the
 // empty trie, after a fill and again after predecessors and deletes. Each
-// key keeps one update node in latest[x] (80 B), and inserts materialize
-// the dummy DEL nodes their MinWrites need; predecessors and deletes
-// materialize none. Measured on linux/amd64 with Go 1.24: 328 B per key
-// filled and 338 after the reads and deletes (352 under -race, whose
+// key keeps one update node in latest[x] (an INS node is 32 B, a DEL node
+// 64 B), and inserts materialize the dummy DEL nodes their MinWrites need
+// (32 B each, about three per key here); predecessors and deletes
+// materialize none. Measured on linux/amd64 with Go 1.24: 136 B per key
+// filled and 161 after the reads and deletes (176 under -race, whose
 // pools drop entries); the bounds leave that margin.
 func TestSparseBytesPerKey(t *testing.T) {
 	const (
@@ -63,9 +65,49 @@ func TestSparseBytesPerKey(t *testing.T) {
 	churned := float64(liveHeap()-empty) / n
 	runtime.KeepAlive(tr)
 	t.Logf("sparse set of %d keys in %d slots: %.1f B per key filled, %.1f after reads and deletes", n, u, filled, churned)
-	if filled > 345 || churned > 370 {
-		t.Fatalf("sparse set holds %.1f B per key filled (want ≤ 345) and %.1f after reads and deletes (want ≤ 370)",
+	if filled > 150 || churned > 185 {
+		t.Fatalf("sparse set holds %.1f B per key filled (want ≤ 150) and %.1f after reads and deletes (want ≤ 185)",
 			filled, churned)
+	}
+}
+
+// TestDenseBytesPerKey is the dense counterpart: u = 2^16, half full,
+// then 2u seeded Inserts and Deletes, so that nearly every key holds an
+// INS or a DEL node in latest[x] and the internal nodes' dNodePtr slots
+// hold superseded DEL nodes. It pins bytes per touched key on top of
+// the empty trie. Measured on linux/amd64 with Go 1.24: 49 B per touched
+// key (63 under -race), against 82 when every node took 80 B.
+func TestDenseBytesPerKey(t *testing.T) {
+	const u = 1 << 16
+	tr := mustNew(t, u)
+	rng := rand.New(rand.NewSource(26))
+	touched := make([]bool, u)
+	empty := liveHeap()
+	for x := int64(0); x < u; x += 2 {
+		tr.Insert(x)
+		touched[x] = true
+	}
+	for i := 0; i < 2*u; i++ {
+		x := rng.Int63n(u)
+		if rng.Intn(2) == 0 {
+			tr.Insert(x)
+		} else {
+			tr.Delete(x)
+		}
+		touched[x] = true
+	}
+	held := liveHeap() - empty
+	runtime.KeepAlive(tr)
+	n := 0
+	for _, ok := range touched {
+		if ok {
+			n++
+		}
+	}
+	perKey := float64(held) / float64(n)
+	t.Logf("dense set in %d slots, %d keys touched: %.1f B per touched key", u, n, perKey)
+	if perKey > 70 {
+		t.Fatalf("dense set holds %.1f B per touched key, want ≤ 70", perKey)
 	}
 }
 

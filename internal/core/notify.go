@@ -57,7 +57,7 @@ func (t *Trie) traverseUall(x int64, a *arena) (ins, del []*unode.UpdateNode) {
 		if u == nil {
 			continue // sentinel
 		}
-		if u.Status.Load() != unode.StatusInactive && t.firstActivated(u) {
+		if u.Active() && t.firstActivated(u) {
 			if u.Kind == unode.Ins {
 				a.iuall = append(a.iuall, u)
 			} else {

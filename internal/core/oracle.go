@@ -58,7 +58,7 @@ func (t *Trie) peekLatest(x int64) *unode.UpdateNode {
 // firstActive resolves the head uNode of a latest list to the list's first
 // activated node.
 func firstActive(uNode *unode.UpdateNode) *unode.UpdateNode {
-	if uNode.Status.Load() == unode.StatusInactive {
+	if !uNode.Active() {
 		if uNode2 := uNode.LatestNext.Load(); uNode2 != nil {
 			return uNode2
 		}
@@ -77,7 +77,7 @@ func (t *Trie) firstActivated(n *unode.UpdateNode) bool {
 		return false
 	}
 	return uNode == n ||
-		(uNode.Status.Load() == unode.StatusInactive && uNode.LatestNext.Load() == n)
+		(!uNode.Active() && uNode.LatestNext.Load() == n)
 }
 
 // helpActivate helps the S-modifying operation that owns uNode get
@@ -93,7 +93,7 @@ func (t *Trie) helpActivate(uNode *unode.UpdateNode, s *ebr.Slot) {
 	if uNode == nil || uNode.DummyNode {
 		return
 	}
-	if uNode.Status.Load() != unode.StatusInactive {
+	if uNode.Active() {
 		return
 	}
 	if t.stats != nil {
@@ -102,17 +102,17 @@ func (t *Trie) helpActivate(uNode *unode.UpdateNode, s *ebr.Slot) {
 	}
 	t.uall.Insert(uNode, s) // line 130
 	t.ruall.Insert(uNode, s)
-	uNode.Status.Store(unode.StatusActive) // line 131
+	uNode.Activate() // line 131
 	if uNode.Kind == unode.Del {
 		// Line 133: uNode.latestNext.target.stop ← true, ignoring ⊥ links.
 		if ln := uNode.LatestNext.Load(); ln != nil {
-			if tg := ln.Target.Load(); tg != nil {
-				tg.Stop.Store(true)
+			if tg := ln.Ins().Target.Load(); tg != nil {
+				tg.SetStop()
 			}
 		}
 	}
 	uNode.LatestNext.Store(nil) // line 134
-	if uNode.Completed.Load() { // line 135
+	if uNode.Completed() {      // line 135
 		t.uall.Remove(uNode, s) // line 136
 		t.ruall.Remove(uNode, s)
 	}

@@ -57,11 +57,11 @@ type PredNode struct {
 // embedded predecessor (paper line 102). unode stores the link as an
 // untyped pointer, since it cannot import core; this pair of accessors is
 // the only place that converts it.
-func setDelPredNode(d *unode.UpdateNode, pn *PredNode) { d.DelPredNode = unsafe.Pointer(pn) }
+func setDelPredNode(d *unode.UpdateNode, pn *PredNode) { d.Del().DelPredNode = unsafe.Pointer(pn) }
 
 // delPredNode returns DEL node d's first-embedded-predecessor PredNode, or
 // nil.
-func delPredNode(d *unode.UpdateNode) *PredNode { return (*PredNode)(d.DelPredNode) }
+func delPredNode(d *unode.UpdateNode) *PredNode { return (*PredNode)(d.Del().DelPredNode) }
 
 type predRef struct {
 	next   *PredNode

@@ -122,7 +122,7 @@ func (t *Trie) traverseRUall(pNode *PredNode, a *arena, s *ebr.Slot) (ins, del [
 		}
 		if cur.Key < y && cur.Upd != nil {
 			u := cur.Upd
-			if u.Status.Load() != unode.StatusInactive && t.firstActivated(u) { // line 265
+			if u.Active() && t.firstActivated(u) { // line 265
 				if u.Kind == unode.Ins {
 					a.iruall = append(a.iruall, u)
 				} else {
@@ -196,7 +196,7 @@ func (t *Trie) bottomCase(pNode *PredNode, q []*PredNode, druall []*unode.Update
 	// edges strictly decrease, so reachability is chain-following.
 	for _, u := range l {
 		if u.Kind == unode.Del {
-			if dp2 := u.DelPred2.Load(); dp2 != unode.NoKey {
+			if dp2 := u.Del().DelPred2.Load(); dp2 != unode.NoKey {
 				a.edge.put(u.Key, dp2)
 			}
 		}
@@ -205,9 +205,9 @@ func (t *Trie) bottomCase(pNode *PredNode, q []*PredNode, druall []*unode.Update
 	// X: starting points — delPred of Druall's deletes and keys of INS
 	// nodes in L (lines 247–248).
 	for _, d := range druall {
-		if !a.start.has(d.DelPred) {
-			a.start.put(d.DelPred, 0)
-			a.startKeys = append(a.startKeys, d.DelPred)
+		if dp := d.Del().DelPred; !a.start.has(dp) {
+			a.start.put(dp, 0)
+			a.startKeys = append(a.startKeys, dp)
 		}
 	}
 	for _, u := range l {

@@ -37,17 +37,17 @@ func mustNew(t *testing.T, u int64) *Trie {
 
 func insNode(key int64) *unode.UpdateNode {
 	n := unode.NewIns(key)
-	n.Status.Store(unode.StatusActive)
+	n.Activate()
 	return n
 }
 
 func delNode(key int64, b int, delPred, delPred2 int64, pn *PredNode) *unode.UpdateNode {
 	n := unode.NewDel(key, b)
-	n.Status.Store(unode.StatusActive)
-	n.DelPred = delPred
+	n.Activate()
+	n.Del().DelPred = delPred
 	setDelPredNode(n, pn)
 	if delPred2 != unode.NoKey {
-		n.DelPred2.Store(delPred2)
+		n.Del().DelPred2.Store(delPred2)
 	}
 	return n
 }
@@ -312,7 +312,7 @@ func TestTraverseRUallClassification(t *testing.T) {
 			n = unode.NewDel(key, tr.b)
 		}
 		if active {
-			n.Status.Store(unode.StatusActive)
+			n.Activate()
 		}
 		if latest {
 			tr.latest[key].Store(n)

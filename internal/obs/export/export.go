@@ -4,7 +4,8 @@
 // snapshot endpoint for tools that want the schema verbatim
 // (cmd/triestat). Handlers take a snapshot source closure instead of a
 // registry so a caller can serve deltas, filtered views, or a facade's
-// MetricsSnapshot unchanged.
+// MetricsSnapshot unchanged. NewMux also mounts the runtime profiles of
+// net/http/pprof.
 package export
 
 import (
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strings"
 
@@ -64,12 +66,19 @@ func PromHandler(src func() obs.Snapshot) http.Handler {
 
 // NewMux routes the three renderings the way cmd/triestress serves them:
 // /debug/vars (expvar shape), /metrics (Prometheus text), /snapshot
-// (typed schema).
+// (typed schema). It also mounts net/http/pprof under /debug/pprof/, so
+// a heap or CPU profile of the serving process is one request away;
+// the handlers cost nothing until they are requested.
 func NewMux(src func() obs.Snapshot) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", Handler(src))
 	mux.Handle("/metrics", PromHandler(src))
 	mux.Handle("/snapshot", SnapshotHandler(src))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

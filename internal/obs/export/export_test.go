@@ -105,10 +105,11 @@ func TestPromHandlerContentType(t *testing.T) {
 	}
 }
 
-// TestNewMuxRoutes: all three endpoints are wired.
+// TestNewMuxRoutes: all three endpoints and the pprof index and heap
+// profile are wired.
 func TestNewMuxRoutes(t *testing.T) {
 	mux := NewMux(testSnapshot)
-	for _, path := range []string{"/debug/vars", "/metrics", "/snapshot"} {
+	for _, path := range []string{"/debug/vars", "/metrics", "/snapshot", "/debug/pprof/", "/debug/pprof/heap?debug=1"} {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 		if rec.Code != 200 || rec.Body.Len() == 0 {

@@ -123,14 +123,14 @@ func (t *Trie) Add(x int64) bool {
 		return false // x already in S
 	}
 	iNode := unode.NewIns(x)
-	iNode.Status.Store(unode.StatusActive) // §4: nodes are created active
+	iNode.Activate() // §4: nodes are created active
 	// Paper line 34: dNode.latestNext.target.stop ← true, ignoring ⊥ links.
 	// This stops the Delete operation that the previously linearized
 	// Insert(x) was asked to stop, in case that Insert crashed between
 	// setting target and performing its MinWrite.
 	if ln := dNode.LatestNext.Load(); ln != nil {
-		if tg := ln.Target.Load(); tg != nil {
-			tg.Stop.Store(true)
+		if tg := ln.Ins().Target.Load(); tg != nil {
+			tg.SetStop()
 		}
 	}
 	// Summary publication contract (bitstrie.MarkEverInserted): the
@@ -160,7 +160,7 @@ func (t *Trie) Remove(x int64) bool {
 		return false // x not in S (nil: never touched, no dummy needed)
 	}
 	dNode := unode.NewDel(x, t.b)
-	dNode.Status.Store(unode.StatusActive)
+	dNode.Activate()
 	dNode.LatestNext.Store(iNode)
 	if !t.latest[x].CompareAndSwap(iNode, dNode) {
 		return false // another TrieDelete(x) linearized first (Lemma 4.4)
@@ -168,8 +168,8 @@ func (t *Trie) Remove(x int64) bool {
 	t.count.Add(-1)
 	// Paper line 55: stop the Delete whose DEL node the replaced Insert was
 	// attacking; the Insert will not finish its MinWrite on our behalf.
-	if tg := iNode.Target.Load(); tg != nil {
-		tg.Stop.Store(true)
+	if tg := iNode.Ins().Target.Load(); tg != nil {
+		tg.SetStop()
 	}
 	t.bits.DeleteBinaryTrie(dNode)
 	return true

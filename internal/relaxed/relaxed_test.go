@@ -119,7 +119,7 @@ func TestFigure3DeleteRace(t *testing.T) {
 	if bits.DNodePtr(1) != d {
 		t.Fatal("root should depend on the same DEL(1) node")
 	}
-	if got := d.Upper0Boundary.Load(); got != 2 {
+	if got := d.Del().Upper0Boundary.Load(); got != 2 {
 		t.Errorf("DEL(1) upper0Boundary = %d, want 2", got)
 	}
 }

@@ -288,10 +288,14 @@ func (t *Trie) Shard(i int) *core.Trie { return t.shards[i].trie }
 func (t *Trie) Len() int64 {
 	var n int64
 	for i := range t.shards {
-		n += t.shards[i].count.Load()
+		n += t.ShardLen(i)
 	}
 	return n
 }
+
+// ShardLen returns shard i's occupancy summary: never below the shard's
+// cardinality, and equal to it at quiescence.
+func (t *Trie) ShardLen(i int) int64 { return t.shards[i].count.Load() }
 
 // home splits x into its shard and local coordinates.
 func (t *Trie) home(x int64) (*shard, int64) {

@@ -2,11 +2,18 @@
 // (paper §4, Figure 4) and the lock-free binary trie (paper §5, Figure 6),
 // together with the bounded min-register used for lower1Boundary.
 //
-// A single node type serves both data structures: the §5 node is a strict
-// superset of the §4 node (status, latestNext transitions, completed flag and
-// the embedded-predecessor results are only used by the lock-free trie).
-// Immutable fields are plain; fields that are written while the node is
-// shared are atomics.
+// Every update node starts with the same 24-byte header, UpdateNode, and
+// every pointer to one is an *UpdateNode. Behind the header each kind
+// allocates only the fields it uses: an INS node adds Target (InsNode,
+// 32 B), a DEL node adds the boundaries and the embedded-predecessor
+// results (DelNode, 64 B), and the dummy DEL node that stands for a key
+// no insert has touched adds only lower1Boundary (32 B, the first part of
+// a DelNode). Ins, Del, Lower1 and Upper0 reach the per-kind fields; each
+// checks the kind and panics on a node of the wrong one. The §5 status,
+// completed and stop flags share one atomic word in the header; the §4
+// trie creates its nodes active and never reads completed. Immutable
+// fields are plain; fields that are written while the node is shared are
+// atomics.
 package unode
 
 import (
@@ -39,16 +46,6 @@ func (k Kind) String() string {
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
 }
-
-// Status values for the lock-free trie's update nodes (paper line 94). A
-// node starts Inactive and changes exactly once to Active; the S-modifying
-// operation that created it is linearized at that transition.
-const (
-	// StatusInactive is the initial status of a §5 update node.
-	StatusInactive uint32 = iota
-	// StatusActive marks an announced (linearized) update node.
-	StatusActive
-)
 
 // NoKey is the ⊥ placeholder for delPred2 (paper line 104) before the second
 // embedded predecessor of a Delete operation has completed.
@@ -92,31 +89,69 @@ func minRegisterMask(v int) uint64 {
 	}
 }
 
-// UpdateNode is an INS or DEL node (paper Figures 4 and 6). One instance is
-// created per S-modifying attempt of an Insert/Delete operation; the node is
-// published by a CAS on latest[key] and thereafter shared.
+// UpdateNode is the header of an INS or DEL node (paper Figures 4 and 6).
+// One node is created per S-modifying attempt of an Insert/Delete
+// operation; it is published by a CAS on latest[key] and thereafter
+// shared. NewIns, NewDel and NewDummyDel allocate the layout of the kind
+// behind the header; never allocate an UpdateNode on its own.
 //
-// Fields are ordered by size (8-byte words, then 4-byte atomics, then the
-// one-byte tags) so the struct carries no padding beyond its tail and
-// takes the 80-byte allocation size class.
+// Two words, the flags word and the two tags: 24 B with its padding.
 type UpdateNode struct {
 	// Key is the operation's input key (immutable).
 	Key int64
-
-	// Target points to the DEL node a TrieInsert is attacking (paper line
-	// 5/96): the insert will MinWrite that DEL node's lower1Boundary.
-	Target atomic.Pointer[UpdateNode]
 	// LatestNext is the next node in the latest[key] list (paper line
 	// 8/95). In §5 it is initialized to the previous latest node and
 	// changes exactly once, to nil.
 	LatestNext atomic.Pointer[UpdateNode]
-	// Lower1Boundary (DEL only): all trie nodes at height ≥ this value that
-	// depend on this node have interpreted bit 1 (paper line 10/101).
-	// Initially b+1; lowered by inserts via MinWrite.
+	// flags packs status (paper line 94), completed (line 98) and stop
+	// (line 7/97). Each bit changes once, false→true, by an atomic OR,
+	// and is never cleared; see DESIGN.md §The dummy DEL convention.
+	flags atomic.Uint32
+	// Kind is Ins or Del (immutable).
+	Kind Kind
+	// DummyNode marks the lazily materialized dummy DEL node that stands
+	// for "key never inserted" (see DESIGN.md). Dummies are always active,
+	// read upper0Boundary = b through Upper0 and start with lower1Boundary
+	// = b+1. Only insert paths materialize one; readers treat a nil
+	// latest[key] as the dummy.
+	DummyNode bool
+}
+
+// Bits of UpdateNode.flags.
+const (
+	flagActive    uint32 = 1 << iota // status = Active (§5; §4 nodes are born active)
+	flagCompleted                    // the creating operation finished (§5)
+	flagStop                         // a DEL node's Delete must stop (§4 and §5)
+)
+
+// InsNode is the layout of an INS node: the header and Target, 32 B.
+type InsNode struct {
+	UpdateNode
+	// Target points to the DEL node a TrieInsert is attacking (paper line
+	// 5/96): the insert will MinWrite that DEL node's lower1Boundary. It
+	// may be a materialized dummy.
+	Target atomic.Pointer[UpdateNode]
+}
+
+// delHead is what every DEL node starts with and all a dummy DEL node
+// is: the header and lower1Boundary, 32 B. A dummy's upper0Boundary is b
+// from creation and never written, so it is not stored.
+type delHead struct {
+	UpdateNode
+	// Lower1Boundary: all trie nodes at height ≥ this value that depend on
+	// this node have interpreted bit 1 (paper line 10/101). Initially b+1;
+	// lowered by inserts via MinWrite.
 	Lower1Boundary MinRegister
+}
+
+// DelNode is the layout of a DEL node that a Delete created: delHead,
+// the embedded-predecessor results and upper0Boundary, 64 B. A dummy DEL
+// node is only its delHead.
+type DelNode struct {
+	delHead
 
 	// DelPredNode is the predecessor node of the Delete operation's first
-	// embedded predecessor (§5 DEL only, paper line 102; immutable once the
+	// embedded predecessor (§5 only, paper line 102; immutable once the
 	// node is published). It holds core's *PredNode as an untyped pointer,
 	// because unode cannot import core; core's setDelPredNode/delPredNode
 	// pair is the only code that converts it.
@@ -127,75 +162,115 @@ type UpdateNode struct {
 	// DelPred2 is the result of the second embedded predecessor (paper line
 	// 104). It transitions once from NoKey to a key in U ∪ {−1}.
 	DelPred2 atomic.Int64
-
-	// Upper0Boundary (DEL only): all trie nodes at height ≤ this value that
-	// depend on this node have interpreted bit 0 (paper line 9/100). Only
-	// the creating Delete writes it, incrementing from 0 one level at a
-	// time (Lemma 4.13).
+	// Upper0Boundary: all trie nodes at height ≤ this value that depend on
+	// this node have interpreted bit 0 (paper line 9/100). Only the
+	// creating Delete writes it, incrementing from 0 one level at a time
+	// (Lemma 4.13).
 	Upper0Boundary atomic.Int32
-	// Status is StatusInactive/StatusActive (§5 only, paper line 94).
-	Status atomic.Uint32
-	// Stop tells the Delete operation that created this DEL node to stop
-	// updating interpreted bits (paper line 7/97). Monotone false→true.
-	Stop atomic.Bool
-	// Completed records that the creating operation finished updating the
-	// relaxed trie and notifying predecessors (§5 only, paper line 98), so
-	// helpers that re-inserted the node into the announcement lists must
-	// remove it again.
-	Completed atomic.Bool
-
-	// Kind is Ins or Del (immutable).
-	Kind Kind
-	// DummyNode marks the lazily materialized dummy DEL node that stands
-	// for "key never inserted" (see DESIGN.md). Dummies are always active
-	// and have Upper0Boundary = b, Lower1Boundary = b+1. Only insert paths
-	// materialize one; readers treat a nil latest[key] as the dummy.
-	DummyNode bool
 }
 
 // NewIns returns a fresh INS node for key. The §5 caller must still set
 // LatestNext before publishing.
 func NewIns(key int64) *UpdateNode {
-	n := &UpdateNode{Key: key, Kind: Ins}
-	n.DelPred2.Store(NoKey)
-	return n
+	n := &InsNode{UpdateNode: UpdateNode{Key: key, Kind: Ins}}
+	return &n.UpdateNode
 }
 
 // NewDel returns a fresh DEL node for key with lower1Boundary = b+1 and
 // upper0Boundary = 0 (paper Figure 4 initial values).
 func NewDel(key int64, b int) *UpdateNode {
-	n := &UpdateNode{Key: key, Kind: Del}
+	n := &DelNode{delHead: delHead{UpdateNode: UpdateNode{Key: key, Kind: Del}}}
 	n.Lower1Boundary.Init(b + 1)
 	n.DelPred2.Store(NoKey)
-	return n
+	return &n.UpdateNode
 }
 
 // NewDummyDel returns the materialized dummy DEL node for key: active,
 // upper0Boundary = b and lower1Boundary = b+1, so every trie node depending
 // on it has interpreted bit 0, matching the initial empty set.
 func NewDummyDel(key int64, b int) *UpdateNode {
-	n := NewDel(key, b)
-	n.DummyNode = true
-	n.Upper0Boundary.Store(int32(b))
-	n.Status.Store(StatusActive)
-	return n
+	n := &delHead{UpdateNode: UpdateNode{Key: key, Kind: Del, DummyNode: true}}
+	n.flags.Store(flagActive)
+	n.Lower1Boundary.Init(b + 1)
+	return &n.UpdateNode
+}
+
+// Ins returns the INS layout behind n. It panics unless n is an INS node.
+func (n *UpdateNode) Ins() *InsNode {
+	if n.Kind != Ins {
+		panic("unode: Ins of a node that is not INS")
+	}
+	return (*InsNode)(unsafe.Pointer(n))
+}
+
+// Del returns the DEL layout behind n. It panics unless n is a DEL node a
+// Delete created: an INS node has no DEL fields, and a dummy's allocation
+// ends after Lower1Boundary. Only DEL nodes taken from the announcement
+// lists or a notify list reach DelPred, DelPred2 and DelPredNode, and no
+// dummy is ever announced.
+func (n *UpdateNode) Del() *DelNode {
+	if n.Kind != Del || n.DummyNode {
+		panic("unode: Del of a node that is not a non-dummy DEL")
+	}
+	return (*DelNode)(unsafe.Pointer(n))
+}
+
+// Lower1 returns the lower1Boundary register of a DEL node or a dummy. It
+// panics on an INS node.
+func (n *UpdateNode) Lower1() *MinRegister {
+	if n.Kind != Del {
+		panic("unode: Lower1 of an INS node")
+	}
+	return &(*delHead)(unsafe.Pointer(n)).Lower1Boundary
+}
+
+// Upper0 returns the upper0Boundary of a DEL node, or b for a dummy. It
+// panics on an INS node.
+func (n *UpdateNode) Upper0(b int) int {
+	if n.DummyNode {
+		return b
+	}
+	return int(n.Del().Upper0Boundary.Load())
 }
 
 // Active reports whether the node has been announced (§5). Relaxed-trie
 // nodes are created active by convention (§4.4.1: "we consider all update
 // nodes to be active").
-func (n *UpdateNode) Active() bool {
-	return n.Status.Load() == StatusActive
-}
+func (n *UpdateNode) Active() bool { return n.flags.Load()&flagActive != 0 }
+
+// Activate changes the status from inactive to active (paper lines 131,
+// 174, 197): the linearization point of the operation that created n.
+func (n *UpdateNode) Activate() { n.flags.Or(flagActive) }
+
+// Completed reports whether the creating operation finished updating the
+// relaxed trie and notifying predecessors (§5 only, paper line 98), so
+// helpers that re-inserted the node into the announcement lists must
+// remove it again.
+func (n *UpdateNode) Completed() bool { return n.flags.Load()&flagCompleted != 0 }
+
+// SetCompleted sets completed (paper lines 178 and 204).
+func (n *UpdateNode) SetCompleted() { n.flags.Or(flagCompleted) }
+
+// Stopped reports whether the Delete operation that created this DEL node
+// was told to stop updating interpreted bits (paper line 7/97).
+func (n *UpdateNode) Stopped() bool { return n.flags.Load()&flagStop != 0 }
+
+// SetStop tells the Delete operation that created this DEL node to stop
+// (paper lines 34, 55, 133, 168, 198). An insert's Target may be a
+// dummy, which no Delete created; its stop is set and never read.
+func (n *UpdateNode) SetStop() { n.flags.Or(flagStop) }
 
 // String renders the node for debugging and trieviz output.
 func (n *UpdateNode) String() string {
-	if n == nil {
+	switch {
+	case n == nil:
 		return "<nil>"
-	}
-	if n.Kind == Del {
+	case n.DummyNode:
+		return fmt.Sprintf("%s(%d){dummy l1b:%d}", n.Kind, n.Key, n.Lower1().Read())
+	case n.Kind == Del:
+		d := n.Del()
 		return fmt.Sprintf("%s(%d){u0b:%d l1b:%d}", n.Kind, n.Key,
-			n.Upper0Boundary.Load(), n.Lower1Boundary.Read())
+			d.Upper0Boundary.Load(), d.Lower1Boundary.Read())
 	}
 	return fmt.Sprintf("%s(%d)", n.Kind, n.Key)
 }

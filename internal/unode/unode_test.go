@@ -121,16 +121,16 @@ func TestNewDelInitialBoundaries(t *testing.T) {
 	if n.Kind != Del {
 		t.Fatalf("Kind = %v, want Del", n.Kind)
 	}
-	if got := n.Lower1Boundary.Read(); got != b+1 {
+	if got := n.Lower1().Read(); got != b+1 {
 		t.Errorf("lower1Boundary = %d, want %d", got, b+1)
 	}
-	if got := n.Upper0Boundary.Load(); got != 0 {
+	if got := n.Del().Upper0Boundary.Load(); got != 0 {
 		t.Errorf("upper0Boundary = %d, want 0", got)
 	}
 	if n.Active() {
 		t.Error("fresh DEL node should be inactive")
 	}
-	if got := n.DelPred2.Load(); got != NoKey {
+	if got := n.Del().DelPred2.Load(); got != NoKey {
 		t.Errorf("DelPred2 = %d, want NoKey", got)
 	}
 }
@@ -144,10 +144,10 @@ func TestNewDummyDel(t *testing.T) {
 	if !n.Active() {
 		t.Error("dummy must be active")
 	}
-	if got := n.Upper0Boundary.Load(); got != int32(b) {
+	if got := n.Upper0(b); got != b {
 		t.Errorf("dummy upper0Boundary = %d, want %d", got, b)
 	}
-	if got := n.Lower1Boundary.Read(); got != b+1 {
+	if got := n.Lower1().Read(); got != b+1 {
 		t.Errorf("dummy lower1Boundary = %d, want %d", got, b+1)
 	}
 }
@@ -157,8 +157,51 @@ func TestNewIns(t *testing.T) {
 	if n.Kind != Ins || n.Key != 7 {
 		t.Fatalf("NewIns(7) = %+v", n)
 	}
-	if n.Target.Load() != nil {
+	if n.Ins().Target.Load() != nil {
 		t.Error("fresh INS target should be nil")
+	}
+}
+
+// TestFlags: status, completed and stop share one word; setting one
+// leaves the others as they were, and setting one twice is harmless.
+func TestFlags(t *testing.T) {
+	n := NewDel(1, 4)
+	if n.Active() || n.Completed() || n.Stopped() {
+		t.Fatal("fresh DEL node has a flag set")
+	}
+	n.SetStop()
+	if n.Active() || n.Completed() || !n.Stopped() {
+		t.Fatal("SetStop changed another flag")
+	}
+	n.Activate()
+	n.Activate()
+	if !n.Active() || n.Completed() || !n.Stopped() {
+		t.Fatal("Activate changed another flag")
+	}
+	n.SetCompleted()
+	if !n.Active() || !n.Completed() || !n.Stopped() {
+		t.Fatal("SetCompleted lost a flag")
+	}
+}
+
+// TestFlagsConcurrent: each flag set by its own goroutines while others
+// set the rest; no OR undoes another bit.
+func TestFlagsConcurrent(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		n := NewIns(int64(round))
+		var wg sync.WaitGroup
+		for _, set := range []func(){n.Activate, n.SetCompleted, n.SetStop, n.Activate} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				set()
+			}()
+		}
+		wg.Wait()
+		if !n.Active() || !n.Completed() || !n.Stopped() {
+			t.Fatalf("round %d: flags lost: active %v completed %v stop %v",
+				round, n.Active(), n.Completed(), n.Stopped())
+		}
 	}
 }
 
@@ -180,17 +223,67 @@ func TestUpdateNodeString(t *testing.T) {
 	if d.String() != "DEL(4){u0b:0 l1b:4}" {
 		t.Errorf("DEL String = %q", d.String())
 	}
+	if got := NewDummyDel(5, 3).String(); got != "DEL(5){dummy l1b:4}" {
+		t.Errorf("dummy String = %q", got)
+	}
 	i := NewIns(2)
 	if i.String() != "INS(2)" {
 		t.Errorf("INS String = %q", i.String())
 	}
 }
 
-// TestUpdateNodeSize pins UpdateNode to the 80-byte allocation size class:
-// every key ever touched keeps one in latest[x], so its size is paid per
-// key.
+// TestUpdateNodeSize pins each layout to its allocation size class:
+// every key ever touched keeps update nodes in latest[x], so their size
+// is paid per key. A dummy is the first part of a DEL node, so one
+// pointer serves both.
 func TestUpdateNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(UpdateNode{}); got > 80 {
-		t.Fatalf("unsafe.Sizeof(UpdateNode{}) = %d, want ≤ 80", got)
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"UpdateNode (header)", unsafe.Sizeof(UpdateNode{}), 24},
+		{"InsNode", unsafe.Sizeof(InsNode{}), 32},
+		{"DelNode", unsafe.Sizeof(DelNode{}), 64},
+		{"dummy DEL (delHead)", unsafe.Sizeof(delHead{}), 32},
+	} {
+		if c.got != c.want {
+			t.Errorf("unsafe.Sizeof(%s) = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	if off := unsafe.Offsetof(DelNode{}.Lower1Boundary); off != unsafe.Offsetof(delHead{}.Lower1Boundary) {
+		t.Errorf("DelNode.Lower1Boundary at offset %d, want delHead's %d", off, unsafe.Offsetof(delHead{}.Lower1Boundary))
+	}
+}
+
+// TestAccessorsPanicOnWrongKind: each accessor refuses a node whose
+// allocation does not hold the fields it would reach.
+func TestAccessorsPanicOnWrongKind(t *testing.T) {
+	ins, del, dummy := NewIns(1), NewDel(2, 4), NewDummyDel(3, 4)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Ins of a DEL node", func() { del.Ins() }},
+		{"Ins of a dummy", func() { dummy.Ins() }},
+		{"Del of a dummy", func() { dummy.Del() }},
+		{"Del of an INS node", func() { ins.Del() }},
+		{"Lower1 of an INS node", func() { ins.Lower1() }},
+		{"Upper0 of an INS node", func() { ins.Upper0(4) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+			}()
+			c.call()
+		})
+	}
+	// And the right kinds pass.
+	_ = ins.Ins()
+	_ = del.Del()
+	_, _ = del.Lower1(), dummy.Lower1()
+	if del.Upper0(4) != 0 || dummy.Upper0(4) != 4 {
+		t.Error("Upper0: want 0 for a fresh DEL node and b for a dummy")
 	}
 }

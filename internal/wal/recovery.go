@@ -104,8 +104,9 @@ func (r *Recovery) ForEach(emit func(key int64)) {
 // mid-append — is detected by CRC/length and discarded; corruption
 // anywhere else is an error, because silently skipping interior records
 // would replay a set that never existed. live is the walk snapshots take
-// over the backend the caller applies its logged updates to.
-func Open(dir string, u int64, opt Options, live LiveKeys) (*Log, *Recovery, error) {
+// over the backend the caller applies its logged updates to, and count
+// that backend's estimate of a stripe's keys.
+func Open(dir string, u int64, opt Options, live LiveKeys, count LiveCount) (*Log, *Recovery, error) {
 	opt = opt.withDefaults()
 	if u < 2 || u&(u-1) != 0 {
 		return nil, nil, fmt.Errorf("wal: universe %d is not a power of two ≥ 2", u)
@@ -116,8 +117,8 @@ func Open(dir string, u int64, opt Options, live LiveKeys) (*Log, *Recovery, err
 	if int64(opt.Shards) > u/2 {
 		return nil, nil, fmt.Errorf("wal: %d shards leave under two keys per stripe of universe %d", opt.Shards, u)
 	}
-	if live == nil {
-		return nil, nil, errors.New("wal: no live-key walk for snapshots")
+	if live == nil || count == nil {
+		return nil, nil, errors.New("wal: no live-key walk or count for snapshots")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
@@ -133,6 +134,7 @@ func Open(dir string, u int64, opt Options, live LiveKeys) (*Log, *Recovery, err
 		opt:    opt,
 		shift:  shardShift(u, opt.Shards),
 		live:   live,
+		count:  count,
 		snapCh: make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 	}
@@ -157,9 +159,8 @@ func Open(dir string, u int64, opt Options, live LiveKeys) (*Log, *Recovery, err
 		}
 		l.shards[i] = s
 		for _, w := range rec.bits[i] {
-			s.lastKeys += bits.OnesCount64(w)
+			rec.Keys += int64(bits.OnesCount64(w))
 		}
-		rec.Keys += int64(s.lastKeys)
 	}
 	l.reg.Counter("wal.recovery.snapshot_keys").Add(0, rec.SnapshotKeys)
 	l.reg.Counter("wal.recovery.replayed_records").Add(0, rec.ReplayedRecords)
@@ -441,17 +442,19 @@ func (s *shardLog) snapshot(l *Log) error {
 	l.hSnapCapNS.Record(int64(time.Since(t0)))
 
 	t1 := time.Now()
-	// Sized for the stripe's last known count plus slack: grown by append
-	// from empty, a 500k-key buffer would leave five times its size in
-	// garbage.
-	buf := make([]byte, snapHeaderBytes, snapHeaderBytes+8*(s.lastKeys+s.lastKeys/8+64)+4)
+	// Sized from the backend's count of the stripe, plus slack for keys
+	// inserted during the walk: grown by append from empty, a 500k-key
+	// buffer would leave five times its size in garbage.
+	lo := int64(s.id) << l.shift
+	hi := lo + int64(1)<<l.shift - 1
+	n := l.count(lo, hi)
+	buf := make([]byte, snapHeaderBytes, snapHeaderBytes+8*(n+n/8+64)+4)
 	binary.BigEndian.PutUint32(buf, snapMagic)
 	buf[4] = walVersion
 	binary.BigEndian.PutUint32(buf[5:], uint32(s.id))
 	binary.BigEndian.PutUint64(buf[9:], uint64(l.u))
 	binary.BigEndian.PutUint64(buf[17:], lsn)
-	lo := int64(s.id) << l.shift
-	l.live(lo, lo+int64(1)<<l.shift-1, func(key int64) {
+	l.live(lo, hi, func(key int64) {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(key))
 	})
 	// Write-ahead rule: the walk may have seen the effect of records above
@@ -502,7 +505,6 @@ func (s *shardLog) snapshot(l *Log) error {
 	s.closedSegs = keep
 	prevSnap := s.snapLSN
 	s.snapLSN = lsn
-	s.lastKeys = count
 	s.mu.Unlock()
 	for _, p := range drop {
 		if err := os.Remove(p); err != nil {

@@ -140,6 +140,11 @@ func (o Options) withDefaults() Options {
 // snapshot only relies on it for keys no update touches while it runs.
 type LiveKeys func(lo, hi int64, emit func(key int64))
 
+// LiveCount returns about how many keys of the live set lie in [lo, hi],
+// erring high. A snapshot sizes its buffer by it before the walk, so
+// that buffer is allocated once rather than grown.
+type LiveCount func(lo, hi int64) int
+
 // Log is an open write-ahead log. Appends are safe for concurrent use;
 // each key's shard serializes under one mutex, which is exactly the
 // order its LSNs record.
@@ -150,7 +155,8 @@ type Log struct {
 	opt    Options
 	shift  uint // key → shard
 	shards []*shardLog
-	live   LiveKeys // the checkpoint walk over the backend
+	live   LiveKeys  // the checkpoint walk over the backend
+	count  LiveCount // sizes a checkpoint's buffer before the walk
 
 	reg        *obs.Registry
 	cRecords   *obs.Counter
@@ -224,9 +230,8 @@ type shardLog struct {
 
 	// snapMu single-flights snapshots for this shard (held across the
 	// slow walk+write, which runs OUTSIDE mu so appends continue).
-	snapMu   sync.Mutex
-	snapLSN  uint64 // LSN covered by the newest durable snapshot
-	lastKeys int    // keys at recovery or in that snapshot: the next one's buffer hint
+	snapMu  sync.Mutex
+	snapLSN uint64 // LSN covered by the newest durable snapshot
 }
 
 // fsyncFile is swapped out by tests that count or fail fsyncs.

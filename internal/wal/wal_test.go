@@ -49,6 +49,19 @@ func (m *model) live(lo, hi int64, emit func(int64)) {
 	}
 }
 
+// count is the model's LiveCount: exact.
+func (m *model) count(lo, hi int64) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for k := range m.keys {
+		if k >= lo && k <= hi {
+			n++
+		}
+	}
+	return n
+}
+
 // apply logs ops, applies them to the model and marks them applied.
 func (m *model) apply(l *Log, ops ...core.BatchOp) {
 	touched := l.AppendBatch(ops, nil)
@@ -75,7 +88,7 @@ func (m *model) insert(l *Log, keys ...int64) {
 // open opens dir over m, failing the test on error.
 func open(t testing.TB, dir string, u int64, opt Options, m *model) (*Log, *Recovery) {
 	t.Helper()
-	l, rec, err := Open(dir, u, opt, m.live)
+	l, rec, err := Open(dir, u, opt, m.live, m.count)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +209,7 @@ func TestTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := newModel()
-		l, rec, err := Open(dir, 1<<10, Options{}, m.live)
+		l, rec, err := Open(dir, 1<<10, Options{}, m.live, m.count)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -217,7 +230,7 @@ func TestTornTail(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatalf("cut %d: close after tear: %v", cut, err)
 		}
-		l2, rec2, err := Open(dir, 1<<10, Options{}, m.live)
+		l2, rec2, err := Open(dir, 1<<10, Options{}, m.live, m.count)
 		if err != nil {
 			t.Fatalf("cut %d: reopen after tear: %v", cut, err)
 		}
@@ -355,16 +368,19 @@ func TestMetaMismatch(t *testing.T) {
 	m := newModel()
 	l, _ := open(t, dir, 1<<10, Options{Shards: 2}, m)
 	l.Close()
-	if _, _, err := Open(dir, 1<<11, Options{Shards: 2}, m.live); err == nil {
+	if _, _, err := Open(dir, 1<<11, Options{Shards: 2}, m.live, m.count); err == nil {
 		t.Fatal("universe change accepted")
 	}
-	if _, _, err := Open(dir, 1<<10, Options{Shards: 4}, m.live); err == nil {
+	if _, _, err := Open(dir, 1<<10, Options{Shards: 4}, m.live, m.count); err == nil {
 		t.Fatal("shard-count change accepted")
 	}
-	if _, _, err := Open(dir, 1<<10, Options{Shards: 2}, nil); err == nil {
+	if _, _, err := Open(dir, 1<<10, Options{Shards: 2}, nil, m.count); err == nil {
 		t.Fatal("missing live-key walk accepted")
 	}
-	if l, _, err := Open(dir, 1<<10, Options{Shards: 2}, m.live); err != nil {
+	if _, _, err := Open(dir, 1<<10, Options{Shards: 2}, m.live, nil); err == nil {
+		t.Fatal("missing live-key count accepted")
+	}
+	if l, _, err := Open(dir, 1<<10, Options{Shards: 2}, m.live, m.count); err != nil {
 		t.Fatalf("matching reopen: %v", err)
 	} else {
 		l.Close()
@@ -680,7 +696,8 @@ func TestSnapshotRejectsForeignKeys(t *testing.T) {
 		// The snapshot deleted the covered segments, so the fallback has
 		// nothing to replay: recovery must refuse the bad file and report
 		// the log gap rather than load foreign keys.
-		if _, _, err := Open(dir, 1<<9, Options{Shards: 2}, newModel().live); err == nil {
+		fresh := newModel()
+		if _, _, err := Open(dir, 1<<9, Options{Shards: 2}, fresh.live, fresh.count); err == nil {
 			t.Fatalf("keys %v: bad snapshot loaded", keys)
 		}
 	}
@@ -765,7 +782,8 @@ func FuzzReplayTail(f *testing.F) {
 		if err := os.WriteFile(seg, append(append([]byte(nil), valid...), junk...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, rec, err := Open(dir, 1<<10, Options{SnapshotBytes: -1}, newModel().live)
+		m := newModel()
+		l, rec, err := Open(dir, 1<<10, Options{SnapshotBytes: -1}, m.live, m.count)
 		if err != nil {
 			return
 		}
