@@ -25,7 +25,6 @@ import (
 	"time"
 
 	lockfreetrie "repro"
-	"repro/internal/adapt"
 	"repro/internal/bitstrie"
 	"repro/internal/combine"
 	"repro/internal/core"
@@ -41,29 +40,25 @@ import (
 
 func main() {
 	var (
-		experiment    = flag.String("experiment", "all", "experiment id: c1,c2,c3,c4,c5,c6,c7,a1,a2,a3,s1,cb1,ad1,cc1,mp1,ob1,sv1,wl1, or all (the paper-claim sweeps c1–a2; s1, a3, cb1, ad1, cc1, mp1, ob1, sv1 and wl1 run only when named, since they rewrite their recorded trajectory artifacts; the combining experiment is cb1 because c1 is the paper's C1 Search-cost claim)")
-		ops           = flag.Int("ops", 100000, "operations per measurement")
-		workers       = flag.Int("workers", 4, "default worker count")
-		seed          = flag.Int64("seed", 1, "workload seed")
-		shards        = flag.Int("shards", 16, "high shard count for the s1 sharding sweep and the a3 sharded variant")
-		gomaxprocs    = flag.String("gomaxprocs", "", "comma-separated GOMAXPROCS sweep for the trajectory experiments (e.g. 1,4,8); empty keeps the current setting (mp1 defaults to 1,4,8)")
-		jsonPath      = flag.String("json", "BENCH_shards.json", "s1 trajectory output path (empty disables)")
-		allocsPath    = flag.String("allocsjson", "BENCH_allocs.json", "a3 trajectory output path (empty disables)")
-		combinePath   = flag.String("combinejson", "BENCH_combine.json", "cb1 trajectory output path (empty disables)")
-		combineReps   = flag.Int("cb1reps", cb1Reps, "cb1 repetitions per configuration (median reported; CI smoke uses 1)")
-		adaptivePath  = flag.String("adaptivejson", "BENCH_adaptive.json", "ad1 trajectory output path (empty disables)")
-		adaptiveReps  = flag.Int("ad1reps", ad1Reps, "ad1 repetitions per configuration (median reported; CI smoke uses 1)")
-		cachePath     = flag.String("cachejson", "BENCH_cache.json", "cc1 trajectory output path (empty disables)")
-		cacheReps     = flag.Int("cc1reps", cc1Reps, "cc1 repetitions per configuration (median reported; CI smoke uses 1)")
-		multicorePath = flag.String("multicorejson", "BENCH_multicore.json", "mp1 trajectory output path (empty disables)")
-		multicoreReps = flag.Int("mp1reps", mp1Reps, "mp1 repetitions per configuration (median reported; CI smoke uses 1)")
-		obsPath       = flag.String("obsjson", "BENCH_obs.json", "ob1 trajectory output path (empty disables)")
-		obsReps       = flag.Int("ob1reps", ob1Reps, "ob1 repetitions per configuration (median reported; CI smoke uses 1)")
-		serverPath    = flag.String("sv1json", "BENCH_sv1.json", "sv1 trajectory output path (empty disables)")
-		serverReps    = flag.Int("sv1reps", sv1Reps, "sv1 repetitions per configuration (median reported; CI smoke uses 1)")
-		serverDur     = flag.Duration("sv1dur", 1500*time.Millisecond, "sv1 open-loop measurement window per side per rep")
-		walPath       = flag.String("waljson", "BENCH_wal.json", "wl1 trajectory output path (empty disables)")
-		walReps       = flag.Int("wl1reps", wl1Reps, "wl1 repetitions per configuration (median reported; CI smoke uses 1)")
+		experiment  = flag.String("experiment", "all", "experiment id: c1,c2,c3,c4,c5,c6,c7,a1,a2,a3,s1,cb1,cc1,ob1,sv1,wl1, or all (the paper-claim sweeps c1–a2; s1, a3, cb1, cc1, ob1, sv1 and wl1 run only when named, since they rewrite their recorded trajectory artifacts; the combining experiment is cb1 because c1 is the paper's C1 Search-cost claim)")
+		ops         = flag.Int("ops", 100000, "operations per measurement")
+		workers     = flag.Int("workers", 4, "default worker count")
+		seed        = flag.Int64("seed", 1, "workload seed")
+		shards      = flag.Int("shards", 16, "high shard count for the s1 sharding sweep and the a3 sharded variant")
+		gomaxprocs  = flag.String("gomaxprocs", "", "comma-separated GOMAXPROCS sweep for the trajectory experiments (e.g. 1,4,8); empty keeps the current setting")
+		jsonPath    = flag.String("json", "BENCH_shards.json", "s1 trajectory output path (empty disables)")
+		allocsPath  = flag.String("allocsjson", "BENCH_allocs.json", "a3 trajectory output path (empty disables)")
+		combinePath = flag.String("combinejson", "BENCH_combine.json", "cb1 trajectory output path (empty disables)")
+		combineReps = flag.Int("cb1reps", cb1Reps, "cb1 repetitions per configuration (median reported; CI smoke uses 1)")
+		cachePath   = flag.String("cachejson", "BENCH_cache.json", "cc1 trajectory output path (empty disables)")
+		cacheReps   = flag.Int("cc1reps", cc1Reps, "cc1 repetitions per configuration (median reported; CI smoke uses 1)")
+		obsPath     = flag.String("obsjson", "BENCH_obs.json", "ob1 trajectory output path (empty disables)")
+		obsReps     = flag.Int("ob1reps", ob1Reps, "ob1 repetitions per configuration (median reported; CI smoke uses 1)")
+		serverPath  = flag.String("sv1json", "BENCH_sv1.json", "sv1 trajectory output path (empty disables)")
+		serverReps  = flag.Int("sv1reps", sv1Reps, "sv1 repetitions per configuration (median reported; CI smoke uses 1)")
+		serverDur   = flag.Duration("sv1dur", 1500*time.Millisecond, "sv1 open-loop measurement window per side per rep")
+		walPath     = flag.String("waljson", "BENCH_wal.json", "wl1 trajectory output path (empty disables)")
+		walReps     = flag.Int("wl1reps", wl1Reps, "wl1 repetitions per configuration (median reported; CI smoke uses 1)")
 	)
 	flag.Parse()
 	inv := invocation{
@@ -71,9 +66,7 @@ func main() {
 		gomaxprocs: *gomaxprocs,
 		jsonPath:   *jsonPath, allocsPath: *allocsPath,
 		combinePath: *combinePath, combineReps: *combineReps,
-		adaptivePath: *adaptivePath, adaptiveReps: *adaptiveReps,
 		cachePath: *cachePath, cacheReps: *cacheReps,
-		multicorePath: *multicorePath, multicoreReps: *multicoreReps,
 		obsPath: *obsPath, obsReps: *obsReps,
 		serverPath: *serverPath, serverReps: *serverReps, serverDur: *serverDur,
 		walPath: *walPath, walReps: *walReps,
@@ -94,39 +87,25 @@ type invocation struct {
 	shards  int
 	// gomaxprocs is the raw -gomaxprocs value: a comma-separated list of
 	// GOMAXPROCS settings every trajectory experiment re-measures each of
-	// its configurations under. Empty means "the current setting only",
-	// except mp1, whose whole point is the P sweep (default 1,4,8).
-	gomaxprocs    string
-	jsonPath      string
-	allocsPath    string
-	combinePath   string
-	combineReps   int
-	adaptivePath  string
-	adaptiveReps  int
-	cachePath     string
-	cacheReps     int
-	multicorePath string
-	multicoreReps int
-	obsPath       string
-	obsReps       int
-	serverPath    string
-	serverReps    int
-	serverDur     time.Duration
-	walPath       string
-	walReps       int
+	// its configurations under. Empty means "the current setting only".
+	gomaxprocs  string
+	jsonPath    string
+	allocsPath  string
+	combinePath string
+	combineReps int
+	cachePath   string
+	cacheReps   int
+	obsPath     string
+	obsReps     int
+	serverPath  string
+	serverReps  int
+	serverDur   time.Duration
+	walPath     string
+	walReps     int
 }
 
 // procs resolves the -gomaxprocs sweep; empty means the current setting.
 func (inv invocation) procs() ([]int, error) {
-	return parseGomaxprocs(inv.gomaxprocs)
-}
-
-// procsDefault resolves the sweep with an experiment-specific default for
-// the empty flag (mp1 sweeps 1,4,8 unless told otherwise).
-func (inv invocation) procsDefault(def []int) ([]int, error) {
-	if strings.TrimSpace(inv.gomaxprocs) == "" {
-		return def, nil
-	}
 	return parseGomaxprocs(inv.gomaxprocs)
 }
 
@@ -206,7 +185,7 @@ func perP(procs []int, f func(p int) error) error {
 // nothing).
 func experimentIDs() []string {
 	return []string{"c1", "c2", "c3", "c4", "c5", "c6", "c7",
-		"a1", "a2", "a3", "s1", "cb1", "ad1", "cc1", "mp1", "ob1", "sv1", "wl1", "all"}
+		"a1", "a2", "a3", "s1", "cb1", "cc1", "ob1", "sv1", "wl1", "all"}
 }
 
 // runnersFor binds the experiment table to this invocation's artifact
@@ -223,9 +202,7 @@ func runnersFor(inv invocation) map[string]func() error {
 		"s1":  func() error { return expS1(inv) },
 		"a3":  func() error { return expA3(inv) },
 		"cb1": func() error { return expCB1(inv) },
-		"ad1": func() error { return expAD1(inv) },
 		"cc1": func() error { return expCC1(inv) },
-		"mp1": func() error { return expMP1(inv) },
 		"ob1": func() error { return expOB1(inv) },
 		"sv1": func() error { return expSV1(inv) },
 		"wl1": func() error { return expWL1(inv) },
@@ -238,13 +215,12 @@ func run(experiment string, inv invocation) error {
 		return err
 	}
 	runners := runnersFor(inv)
-	// "all" covers the paper-claim sweeps; s1, a3, cb1, ad1, cc1, mp1,
-	// ob1 and sv1 are opt-in because they overwrite the recorded
+	// "all" covers the paper-claim sweeps; s1, a3, cb1, cc1, ob1, sv1
+	// and wl1 are opt-in because they overwrite the recorded
 	// BENCH_shards.json / BENCH_allocs.json / BENCH_combine.json /
-	// BENCH_adaptive.json / BENCH_cache.json / BENCH_multicore.json /
-	// BENCH_obs.json / BENCH_sv1.json trajectory points (and
-	// s1/cb1/ad1/cc1/mp1/ob1/sv1 enforce their own
-	// ops/workers floors — minutes, not seconds).
+	// BENCH_cache.json / BENCH_obs.json / BENCH_sv1.json /
+	// BENCH_wal.json trajectory points (and s1/cb1/cc1/ob1/sv1 enforce
+	// their own ops/workers floors — minutes, not seconds).
 	if experiment == "all" {
 		for _, id := range []string{"c1", "c2", "c3", "c4", "c5", "c6", "c7", "a1", "a2"} {
 			if err := runners[id](); err != nil {
@@ -471,8 +447,8 @@ func expC4(_, workers int, seed int64) error {
 func atomicAdd(p *int64, v int64) { atomic.AddInt64(p, v) }
 
 // median sorts v in place and returns the middle element (upper middle
-// for even lengths) — the repetition aggregator shared by the S1, CB1
-// and AD1 sweeps.
+// for even lengths) — the repetition aggregator shared by the trajectory
+// sweeps.
 func median(v []float64) float64 {
 	sort.Float64s(v)
 	return v[len(v)/2]
@@ -1118,11 +1094,16 @@ type cb1Report struct {
 	Workloads  []cb1Workload `json:"workloads"`
 	// GateUpdateHeavyReductionX is the announce_reduction_x of the
 	// update-heavy mix at the LOWEST shard count measured — the
-	// worst-case-contention shard all 16 goroutines share; the acceptance
-	// gate tracks ≥ 2.
+	// worst-case-contention shard all 16 goroutines share; expCB1 fails
+	// when any swept P reads below cb1MinReductionX.
 	GateUpdateHeavyReductionX float64        `json:"gate_update_heavy_announce_reduction_x"`
 	Points                    []cb1ProcPoint `json:"proc_points"`
 }
+
+// cb1MinReductionX is CB1's gate: at every swept P, combining must cut the
+// update-heavy k=1 mix's announcement passes per op at least this many
+// times.
+const cb1MinReductionX = 2.0
 
 // expCB1: per-shard flat combining vs the per-op announcement path.
 // Announces/op counts U-ALL announcement passes (core.Stats.Announces) per
@@ -1137,9 +1118,9 @@ type cb1Report struct {
 // per-shard layer composing with sharding. The converse is deliberately
 // NOT a headline row but is worth knowing: spreading goroutines thin
 // (uniform keys over k ≥ 4 shards leaves ~1 publisher per combiner) makes
-// batches degenerate toward size 1 and the handoff pure overhead (measured
-// 0.65–0.9× throughput on this host) — WithCombining is a workload
-// decision, exactly like WithShards. The whole sweep repeats per
+// batches degenerate toward size 1 and the handoff pure overhead (0.38×
+// the per-op throughput at GOMAXPROCS=2 on a 2-vCPU host) — WithCombining
+// is a workload decision, exactly like WithShards. The whole sweep repeats per
 // -gomaxprocs setting. Writes the BENCH_combine.json trajectory point
 // unless -combinejson is empty.
 func expCB1(inv invocation) error {
@@ -1195,7 +1176,7 @@ func expCB1(inv invocation) error {
 		// through Submit (32768 solo size-1 rounds); snapshot here so the
 		// reported batch shape covers only the timed run, matching the
 		// post-prefill attach of the announce counters.
-		rounds0, batched0, direct0, _ := tr.CombineStats()
+		before := tr.CombineStats()
 		res, err := harness.Run(tr, harness.Config{
 			Workers:      workers,
 			OpsPerWorker: ops / workers,
@@ -1215,8 +1196,10 @@ func expCB1(inv invocation) error {
 			AnnouncesPerOp: float64(ann) / float64(res.Ops),
 		}
 		if combining {
-			rounds, batched, direct, _ := tr.CombineStats()
-			rounds, batched, direct = rounds-rounds0, batched-batched0, direct-direct0
+			after := tr.CombineStats()
+			rounds := after.Rounds - before.Rounds
+			batched := after.Batched - before.Batched
+			direct := after.Direct - before.Direct
 			if rounds > 0 {
 				side.AvgBatch = float64(batched) / float64(rounds)
 			}
@@ -1294,319 +1277,29 @@ func expCB1(inv invocation) error {
 	report.NumCPU = report.Points[0].NumCPU
 	report.Workloads = report.Points[0].Workloads
 	report.GateUpdateHeavyReductionX = report.Points[0].GateUpdateHeavyReductionX
-	if jsonPath == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n\n", jsonPath)
-	return nil
-}
-
-// --- AD1: adaptive combining recovers the right regime per shard ---------------
-
-// ad1Reps is the default repetition count per configuration (-ad1reps
-// overrides); the median of per-repetition ratios is reported, for the
-// same scheduling-luck reasons as S1 and CB1. Seven, not five: the
-// committed BENCH_adaptive.json protocol is 7 reps (this host's load
-// drifts enough that 5 left the clustered gate inside the noise band),
-// and a default re-run must reproduce the recorded protocol.
-const ad1Reps = 7
-
-// ad1Side is one publication-mode variant of an AD1 configuration.
-type ad1Side struct {
-	OpsPerSec float64 `json:"ops_per_sec"`
-	// AvgBatch is ops drained per combining round over the timed run
-	// (absent for the uncombined side; for the adaptive side it covers
-	// only the stretches spent combining).
-	AvgBatch float64 `json:"avg_batch,omitempty"`
-	// Enables/Disables are the mode transitions during the timed run,
-	// summed over shards (medians across repetitions). Always serialized
-	// so a zero reads as "no transitions", not missing data — true on
-	// the static sides too, whose mode never changes by construction.
-	Enables  int64 `json:"enables"`
-	Disables int64 `json:"disables"`
-	// CombiningShards is how many shards ended the run in combining
-	// mode: 0 for the uncombined side, k for always-on, measured for
-	// adaptive.
-	CombiningShards int `json:"combining_shards"`
-}
-
-// ad1Workload is one (mix, shard count) configuration measured under all
-// three publication modes.
-type ad1Workload struct {
-	Mix    string `json:"mix"`
-	Shards int    `json:"shards"`
-	// Regime names which side of the combining trade this configuration
-	// sits on: "thin-spread" (combining hurts; adaptive must track the
-	// uncombined baseline) or "clustered" (combining wins; adaptive must
-	// track always-on).
-	Regime     string  `json:"regime"`
-	Uncombined ad1Side `json:"uncombined"`
-	Combined   ad1Side `json:"combined_always_on"`
-	Adaptive   ad1Side `json:"adaptive"`
-	// The ratio fields are medians of PER-REPETITION ratios: the three
-	// variants run back-to-back inside each repetition, so a drifting
-	// host-load phase hits a repetition's numerator and denominator
-	// together and cancels, where a ratio of cross-repetition medians
-	// would not. They therefore need not equal the quotient of the
-	// (per-variant median) throughput fields.
-	AdaptiveVsUncombined float64 `json:"adaptive_vs_uncombined"`
-	AdaptiveVsCombined   float64 `json:"adaptive_vs_combined"`
-}
-
-// ad1ProcPoint is one GOMAXPROCS setting's full sweep, gates included:
-// the adaptive controller must pick the winning mode at every P, not
-// just under single-P timeslicing (the throughput-derived enable signal
-// exists precisely because peer counts read differently at P>1).
-type ad1ProcPoint struct {
-	hostTopology
-	Workloads                  []ad1Workload `json:"workloads"`
-	GateThinVsUncombined       float64       `json:"gate_thin_spread_adaptive_vs_uncombined"`
-	GateClusteredVsCombinedMin float64       `json:"gate_clustered_adaptive_vs_combined_min"`
-}
-
-// ad1Report is the BENCH_adaptive.json trajectory point. Top-level
-// GoMaxProcs/NumCPU/Workloads/gates are the first swept P's values — the
-// compatibility row — while Points carries the full -gomaxprocs sweep.
-type ad1Report struct {
-	Experiment string         `json:"experiment"`
-	Timestamp  string         `json:"timestamp"`
-	GoMaxProcs int            `json:"gomaxprocs"`
-	NumCPU     int            `json:"num_cpu"`
-	Universe   int64          `json:"universe"`
-	Goroutines int            `json:"goroutines"`
-	Ops        int            `json:"ops"`
-	Reps       int            `json:"reps_median_of"`
-	Workloads  []ad1Workload  `json:"workloads"`
-	Points     []ad1ProcPoint `json:"proc_points"`
-	// GateThinVsUncombined is adaptive/uncombined throughput on the
-	// thin-spread mix; the acceptance gate tracks ≥ 0.95 (adaptive must
-	// not pay for a combining layer the workload cannot use).
-	GateThinVsUncombined float64 `json:"gate_thin_spread_adaptive_vs_uncombined"`
-	// GateClusteredVsCombinedMin is the MINIMUM adaptive/combined
-	// throughput over the clustered mixes; the gate tracks ≥ 0.9
-	// (adaptive must converge to always-on combining where it wins).
-	GateClusteredVsCombinedMin float64 `json:"gate_clustered_adaptive_vs_combined_min"`
-}
-
-// ad1 publication-mode variants.
-const (
-	ad1Uncombined = iota
-	ad1Combined
-	ad1Adaptive
-)
-
-// expAD1: the adaptive controller against both static modes, on both
-// sides of the combining trade. The thin-spread row is CB1's documented
-// loss regime (uniform update-only keys over k=16 shards leave ~1
-// publisher per combiner: always-on combining measured 0.65–0.9× there);
-// the clustered rows are CB1's win regime (everyone in one combiner's
-// catchment). Adaptive starts every shard direct and must converge to the
-// winning mode per shard at runtime, paying only the sampling tax and the
-// convergence transient; per-point mode-transition counts make the
-// convergence itself part of the recorded trajectory. The whole sweep
-// repeats per -gomaxprocs setting. Writes the BENCH_adaptive.json
-// trajectory point unless -adaptivejson is empty.
-func expAD1(inv invocation) error {
-	ops, workers, seed := inv.ops, inv.workers, inv.seed
-	reps, jsonPath := inv.adaptiveReps, inv.adaptivePath
-	procs, err := inv.procs()
-	if err != nil {
-		return err
-	}
-	const u = int64(1 << 16)
-	if workers < 16 {
-		fmt.Printf("ad1: raising -workers to 16 (both gates are defined at 16 goroutines)\n")
-		workers = 16
-	}
-	if reps < 1 {
-		reps = 1
-	}
-	// The gate-grade protocol needs long measurements (the adaptive
-	// transient must be amortizable, not the whole run) — but a one-rep
-	// run is never gate-grade anyway (the gates are medians of per-rep
-	// ratios), so the CI smoke that only confirms the JSON writer keeps
-	// its small explicit -ops instead of paying minutes.
-	if reps > 1 && ops < 800000 {
-		fmt.Printf("ad1: raising -ops to 800000 (the adaptive transient must be amortizable, not the whole run)\n")
-		ops = 800000
-	} else if reps == 1 && ops < 800000 {
-		fmt.Printf("ad1: one-rep run at %d ops — smoke only, NOT comparable to the recorded gate-grade artifact (7 reps, 800k ops)\n", ops)
-	}
-	fmt.Printf("== AD1: adaptive vs static publication modes (ops/s, %d goroutines) ==\n", workers)
-	report := ad1Report{
-		Experiment: "ad1-adaptive",
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Universe:   u,
-		Goroutines: workers,
-		Ops:        ops,
-		Reps:       reps,
-	}
-	// One measurement: fresh trie, half-full prefill, timed run, counter
-	// deltas from post-prefill snapshots (the solo prefill itself runs
-	// direct under the adaptive default and is excluded from every
-	// reported number).
-	measure := func(k, variant int, mix workload.Mix, dist workload.KeyDist) (ad1Side, error) {
-		var tr *sharded.Trie
-		var err error
-		switch variant {
-		case ad1Uncombined:
-			tr, err = sharded.New(u, k)
-		case ad1Combined:
-			tr, err = sharded.NewCombining(u, k)
-		case ad1Adaptive:
-			tr, err = sharded.NewAdaptive(u, k, adapt.Config{})
-		}
+	if jsonPath != "" {
+		buf, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
-			return ad1Side{}, err
+			return err
 		}
-		for key := int64(0); key < u; key += 2 {
-			tr.Insert(key)
+		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
+			return err
 		}
-		rounds0, batched0, _, _ := tr.CombineStats()
-		enables0, disables0 := tr.AdaptiveStats()
-		res, err := harness.Run(tr, harness.Config{
-			Workers:      workers,
-			OpsPerWorker: ops / workers,
-			Mix:          mix,
-			Dist:         dist,
-			Seed:         seed,
-		})
-		if err != nil {
-			return ad1Side{}, err
-		}
-		side := ad1Side{OpsPerSec: res.Throughput}
-		if variant != ad1Uncombined {
-			rounds, batched, _, _ := tr.CombineStats()
-			if r := rounds - rounds0; r > 0 {
-				side.AvgBatch = float64(batched-batched0) / float64(r)
-			}
-		}
-		if variant == ad1Combined {
-			side.CombiningShards = k // every shard combines by construction
-		}
-		if variant == ad1Adaptive {
-			enables, disables := tr.AdaptiveStats()
-			side.Enables, side.Disables = enables-enables0, disables-disables0
-			for i := 0; i < k; i++ {
-				if tr.ShardCombining(i) {
-					side.CombiningShards++
-				}
-			}
-		}
-		return side, nil
+		fmt.Printf("wrote %s\n\n", jsonPath)
 	}
-	configs := []struct {
-		name   string
-		regime string
-		mix    workload.Mix
-		k      int
-		dist   workload.KeyDist
-	}{
-		// The loss regime: ~1 publisher per combiner.
-		{"thin-spread-update-heavy", "thin-spread", workload.MixUpdateOnly, 16, workload.Uniform{U: u}},
-		// The win regimes: all publishers in one combiner's catchment.
-		{"update-heavy", "clustered", workload.MixUpdateOnly, 1, workload.Uniform{U: u}},
-		{"uniform-update-heavy", "clustered", workload.MixUpdateHeavy, 1, workload.Uniform{U: u}},
-		{"hotshard-update-heavy", "clustered", workload.MixUpdateOnly, 16,
-			workload.HotRange{U: u, HotLo: u / 2, HotWidth: u / 16, HotPct: 90}},
-	}
-	if err := perP(procs, func(p int) error {
-		pt := ad1ProcPoint{hostTopology: topologyAt(p)}
-		tab := harness.NewTable("workload", "k", "ops/s uncomb", "ops/s comb", "ops/s adaptive",
-			"ad/uncomb", "ad/comb", "flips", "comb shards")
-		for _, cfg := range configs {
-			sides := make([][]float64, 3)
-			var avgB, avgBC, en, dis, rUnc, rComb, shardsOn []float64
-			for rep := 0; rep < reps; rep++ {
-				// The three variants run back-to-back inside a repetition so
-				// machine-noise phases hit all of them (and cancel in the
-				// per-repetition ratios below), and the order ROTATES per
-				// repetition: with a fixed order, load drifting monotonically
-				// across a repetition systematically penalizes whichever
-				// variant always runs last.
-				var repSides [3]ad1Side
-				for j := 0; j < 3; j++ {
-					v := (rep + j) % 3
-					side, err := measure(cfg.k, v, cfg.mix, cfg.dist)
-					if err != nil {
-						return err
-					}
-					repSides[v] = side
-					sides[v] = append(sides[v], side.OpsPerSec)
-					if v == ad1Combined {
-						avgBC = append(avgBC, side.AvgBatch)
-					}
-					if v == ad1Adaptive {
-						avgB = append(avgB, side.AvgBatch)
-						en = append(en, float64(side.Enables))
-						dis = append(dis, float64(side.Disables))
-						shardsOn = append(shardsOn, float64(side.CombiningShards))
-					}
-				}
-				if repSides[ad1Uncombined].OpsPerSec > 0 {
-					rUnc = append(rUnc, repSides[ad1Adaptive].OpsPerSec/repSides[ad1Uncombined].OpsPerSec)
-				}
-				if repSides[ad1Combined].OpsPerSec > 0 {
-					rComb = append(rComb, repSides[ad1Adaptive].OpsPerSec/repSides[ad1Combined].OpsPerSec)
-				}
-			}
-			wl := ad1Workload{
-				Mix: cfg.name, Shards: cfg.k, Regime: cfg.regime,
-				Uncombined: ad1Side{OpsPerSec: median(sides[ad1Uncombined])},
-				Combined: ad1Side{OpsPerSec: median(sides[ad1Combined]),
-					AvgBatch: median(avgBC), CombiningShards: cfg.k},
-				Adaptive: ad1Side{
-					OpsPerSec: median(sides[ad1Adaptive]), AvgBatch: median(avgB),
-					Enables: int64(median(en)), Disables: int64(median(dis)),
-					CombiningShards: int(median(shardsOn)),
-				},
-			}
-			if len(rUnc) > 0 {
-				wl.AdaptiveVsUncombined = median(rUnc)
-			}
-			if len(rComb) > 0 {
-				wl.AdaptiveVsCombined = median(rComb)
-			}
-			if cfg.regime == "thin-spread" {
-				pt.GateThinVsUncombined = wl.AdaptiveVsUncombined
-			} else if pt.GateClusteredVsCombinedMin == 0 ||
-				wl.AdaptiveVsCombined < pt.GateClusteredVsCombinedMin {
-				pt.GateClusteredVsCombinedMin = wl.AdaptiveVsCombined
-			}
-			pt.Workloads = append(pt.Workloads, wl)
-			tab.AddRow(cfg.name, cfg.k, wl.Uncombined.OpsPerSec, wl.Combined.OpsPerSec,
-				wl.Adaptive.OpsPerSec, wl.AdaptiveVsUncombined, wl.AdaptiveVsCombined,
-				wl.Adaptive.Enables+wl.Adaptive.Disables, wl.Adaptive.CombiningShards)
+	return cb1Gate(report.Points)
+}
+
+// cb1Gate fails the run when any swept P's update-heavy announce
+// reduction reads below cb1MinReductionX. The artifact is written first,
+// so a miss is recorded, not hidden.
+func cb1Gate(points []cb1ProcPoint) error {
+	for _, pt := range points {
+		if x := pt.GateUpdateHeavyReductionX; x < cb1MinReductionX {
+			return fmt.Errorf("cb1 gate: update-heavy announce reduction %.2f× at GOMAXPROCS=%d, want ≥ %.0f×",
+				x, pt.GoMaxProcs, cb1MinReductionX)
 		}
-		fmt.Println(tab)
-		report.Points = append(report.Points, pt)
-		return nil
-	}); err != nil {
-		return err
 	}
-	report.GoMaxProcs = report.Points[0].GoMaxProcs
-	report.NumCPU = report.Points[0].NumCPU
-	report.Workloads = report.Points[0].Workloads
-	report.GateThinVsUncombined = report.Points[0].GateThinVsUncombined
-	report.GateClusteredVsCombinedMin = report.Points[0].GateClusteredVsCombinedMin
-	if jsonPath == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n\n", jsonPath)
 	return nil
 }
 
@@ -1614,7 +1307,9 @@ func expAD1(inv invocation) error {
 
 // cc1Reps is the default repetition count per configuration (-cc1reps
 // overrides); the median is reported and the gate is the median of
-// per-repetition ratios, for the same host-load-drift reasons as AD1.
+// per-repetition ratios: load on a shared 2-vCPU VM drifts 2–3× between
+// minutes, and a ratio of two sides measured back to back cancels most
+// of it.
 const cc1Reps = 5
 
 // cc1Side is one compression setting of a CC1 configuration.
@@ -1867,213 +1562,11 @@ func expCC1(inv invocation) error {
 	return nil
 }
 
-// --- MP1: core-aware placement and the P-scaling curve -------------------------
-
-// mp1Reps is the default repetition count per (variant, P) configuration
-// (-mp1reps overrides); the median of per-repetition ratios is reported,
-// rotated per repetition, for the same host-load-drift reasons as AD1.
-const mp1Reps = 5
-
-// mp1Variant indexes the four structures each repetition measures.
-const (
-	mp1Placed = iota // combining shards with an identity placement hint
-	mp1Plain         // combining shards, unplaced (rotating slot claim)
-	mp1K             // plain sharded, high k — the P-scaling curve's top
-	mp1K1            // plain sharded, k=1 — the P-scaling curve's floor
-	mp1Variants
-)
-
-// mp1ProcPoint is one GOMAXPROCS setting's measurements: the placement
-// A/B pair plus the sharded-vs-k=1 scaling pair that anchors how much
-// parallelism the host actually delivers at this P.
-type mp1ProcPoint struct {
-	hostTopology
-	PlacedOpsPerSec float64 `json:"placed_ops_per_sec"`
-	PlainOpsPerSec  float64 `json:"plain_ops_per_sec"`
-	// PlacedVsPlain is the median of per-repetition placed/plain ratios
-	// (the two sides run adjacently inside each repetition, so drifting
-	// host load cancels).
-	PlacedVsPlain float64 `json:"placed_vs_plain"`
-	// The P-scaling curve: plain sharded high-k vs k=1 throughput at
-	// this P. Their ratio rising with P is the multicore payoff of the
-	// partition itself, placement aside.
-	ShardedOpsPerSec float64 `json:"sharded_k_ops_per_sec"`
-	K1OpsPerSec      float64 `json:"sharded_k1_ops_per_sec"`
-	ShardedVsK1      float64 `json:"sharded_vs_k1"`
-}
-
-// mp1Report is the BENCH_multicore.json trajectory point.
-type mp1Report struct {
-	Experiment string         `json:"experiment"`
-	Timestamp  string         `json:"timestamp"`
-	GoMaxProcs int            `json:"gomaxprocs"`
-	NumCPU     int            `json:"num_cpu"`
-	Universe   int64          `json:"universe"`
-	Goroutines int            `json:"goroutines"`
-	Ops        int            `json:"ops"`
-	Shards     int            `json:"shards"`
-	Reps       int            `json:"reps_median_of"`
-	Placement  []int          `json:"placement_hint"`
-	Points     []mp1ProcPoint `json:"proc_points"`
-	// GatePlacedVsPlainMin is the minimum over the swept P values of the
-	// per-P median placed/plain throughput ratio; the acceptance gate
-	// tracks ≥ 1.0 (the hint must never cost throughput — it only
-	// narrows where a submitter looks for a slot).
-	GatePlacedVsPlainMin float64 `json:"gate_placed_vs_plain_min_over_p"`
-}
-
-// expMP1: core-aware shard placement across a GOMAXPROCS sweep. The
-// workload is the placement best case by construction — disjoint
-// per-worker key bands, so each worker funnels into one shard's combiner
-// and a sticky slot claim keeps it on the same publication slot (and the
-// same arena cache lines) round after round — measured against the
-// identical trie without the hint, where every claim starts from a
-// rotating ticket. The plain-sharded k vs k=1 pair rides along as the
-// P-scaling curve: how much the partition itself earns as real
-// parallelism (or oversubscribed timeslicing — each point records its
-// topology) increases. Unlike the other trajectory experiments, the P
-// sweep IS the experiment, so an empty -gomaxprocs defaults to 1,4,8
-// rather than the current setting. Writes the BENCH_multicore.json
-// trajectory point unless -multicorejson is empty.
-func expMP1(inv invocation) error {
-	ops, workers, seed := inv.ops, inv.workers, inv.seed
-	reps, jsonPath := inv.multicoreReps, inv.multicorePath
-	k := inv.shards
-	if k < 2 {
-		k = 16
-	}
-	procs, err := inv.procsDefault([]int{1, 4, 8})
-	if err != nil {
-		return err
-	}
-	const u = int64(1 << 16)
-	if workers < 16 {
-		fmt.Printf("mp1: raising -workers to 16 (the gate is defined at 16 goroutines)\n")
-		workers = 16
-	}
-	if reps < 1 {
-		reps = 1
-	}
-	if ops < 400000 {
-		fmt.Printf("mp1: raising -ops to 400000 (short runs measure warm-up, not the placement steady state)\n")
-		ops = 400000
-	}
-	fmt.Printf("== MP1: placed vs unplaced combining shards across GOMAXPROCS (ops/s, %d goroutines) ==\n", workers)
-	// Identity hint: each shard its own placement group, so each shard's
-	// combiner carves a private arena and every worker (pinned to one
-	// shard by its band) re-finds its slot in that arena.
-	identity := make([]int, k)
-	for i := range identity {
-		identity[i] = i
-	}
-	report := mp1Report{
-		Experiment: "mp1-multicore",
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Universe:   u,
-		Goroutines: workers,
-		Ops:        ops,
-		Shards:     k,
-		Reps:       reps,
-		Placement:  identity,
-	}
-	bands := workload.Bands(u, workers)
-	mks := [mp1Variants]func() (*sharded.Trie, error){
-		mp1Placed: func() (*sharded.Trie, error) {
-			return sharded.NewWithOptions(u, k, sharded.Options{Combining: true, Placement: identity})
-		},
-		mp1Plain: func() (*sharded.Trie, error) { return sharded.NewCombining(u, k) },
-		mp1K:     func() (*sharded.Trie, error) { return sharded.New(u, k) },
-		mp1K1:    func() (*sharded.Trie, error) { return sharded.New(u, 1) },
-	}
-	// One measurement: fresh trie, half-full prefill, timed disjoint-band
-	// update-heavy run.
-	measure := func(variant int) (float64, error) {
-		tr, err := mks[variant]()
-		if err != nil {
-			return 0, err
-		}
-		for key := int64(0); key < u; key += 2 {
-			tr.Insert(key)
-		}
-		res, err := harness.Run(tr, harness.Config{
-			Workers:      workers,
-			OpsPerWorker: ops / workers,
-			Mix:          workload.MixUpdateHeavy,
-			DistFor:      func(w int) workload.KeyDist { return bands[w%len(bands)] },
-			Seed:         seed,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return res.Throughput, nil
-	}
-	tab := harness.NewTable("gomaxprocs", "placed ops/s", "plain ops/s", "placed/plain",
-		fmt.Sprintf("k=%d ops/s", k), "k=1 ops/s", "scaling x")
-	if err := perP(procs, func(p int) error {
-		pt := mp1ProcPoint{hostTopology: topologyAt(p)}
-		samples := make([][]float64, mp1Variants)
-		var ratios []float64
-		for rep := 0; rep < reps; rep++ {
-			// Rotate the variant order per repetition (the AD1 lesson:
-			// a fixed order lets monotone host-load drift systematically
-			// penalize whichever variant always runs last).
-			var repT [mp1Variants]float64
-			for j := 0; j < mp1Variants; j++ {
-				v := (rep + j) % mp1Variants
-				tput, err := measure(v)
-				if err != nil {
-					return err
-				}
-				repT[v] = tput
-				samples[v] = append(samples[v], tput)
-			}
-			if repT[mp1Plain] > 0 {
-				ratios = append(ratios, repT[mp1Placed]/repT[mp1Plain])
-			}
-		}
-		pt.PlacedOpsPerSec = median(samples[mp1Placed])
-		pt.PlainOpsPerSec = median(samples[mp1Plain])
-		pt.PlacedVsPlain = median(ratios)
-		pt.ShardedOpsPerSec = median(samples[mp1K])
-		pt.K1OpsPerSec = median(samples[mp1K1])
-		if pt.K1OpsPerSec > 0 {
-			pt.ShardedVsK1 = pt.ShardedOpsPerSec / pt.K1OpsPerSec
-		}
-		tab.AddRow(p, pt.PlacedOpsPerSec, pt.PlainOpsPerSec, pt.PlacedVsPlain,
-			pt.ShardedOpsPerSec, pt.K1OpsPerSec, pt.ShardedVsK1)
-		report.Points = append(report.Points, pt)
-		return nil
-	}); err != nil {
-		return err
-	}
-	report.GoMaxProcs = report.Points[0].GoMaxProcs
-	report.NumCPU = report.Points[0].NumCPU
-	for i, pt := range report.Points {
-		if i == 0 || pt.PlacedVsPlain < report.GatePlacedVsPlainMin {
-			report.GatePlacedVsPlainMin = pt.PlacedVsPlain
-		}
-	}
-	fmt.Println(tab)
-	fmt.Printf("placed vs plain, min over P (median of per-rep ratios): %.3f\n", report.GatePlacedVsPlainMin)
-	if jsonPath == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n\n", jsonPath)
-	return nil
-}
-
 // --- OB1: the observability layer's hot-path cost ------------------------------
 
 // ob1Reps is the default repetition count per configuration (-ob1reps
 // overrides); the median of per-repetition ratios is reported, rotated
-// per repetition, for the same host-load-drift reasons as MP1.
+// per repetition, for the same host-load-drift reasons as CC1.
 const ob1Reps = 5
 
 // ob1Variant is one side (instrumented or stripped) of an OB1
@@ -2274,9 +1767,9 @@ func expOB1(inv invocation) error {
 		for ci, cfg := range configs {
 			var instT, strT, instA, strA, instB, strB, ratios []float64
 			for rep := 0; rep < reps; rep++ {
-				// Rotate which side runs first (the AD1 lesson: a fixed
-				// order lets monotone host-load drift systematically
-				// penalize whichever side always runs last).
+				// Rotate which side runs first: a fixed order lets
+				// monotone host-load drift systematically penalize
+				// whichever side always runs last.
 				var inst, str ob1Variant
 				var err error
 				if rep%2 == 0 {

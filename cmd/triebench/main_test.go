@@ -11,7 +11,7 @@ import (
 func testInvocation() invocation {
 	return invocation{
 		ops: 1000, workers: 1, seed: 1, shards: 16,
-		combineReps: 1, adaptiveReps: 1, cacheReps: 1, multicoreReps: 1,
+		combineReps: 1, cacheReps: 1,
 	}
 }
 
@@ -163,5 +163,23 @@ func TestCC1VacuousGateRefusesAllOnes(t *testing.T) {
 	}
 	if err := cc1VacuousGate(sparse.Bits()); err != nil {
 		t.Fatalf("cc1VacuousGate rejected a sparse prefill: %v", err)
+	}
+}
+
+// TestCB1GateRefusesLowReduction: CB1's gate binds every swept P, not just
+// the compat row — a miss at any P must fail the run (main exits non-zero
+// on the error) and name that P.
+func TestCB1GateRefusesLowReduction(t *testing.T) {
+	pass := cb1ProcPoint{hostTopology: topologyAt(1), GateUpdateHeavyReductionX: 7.5}
+	miss := cb1ProcPoint{hostTopology: topologyAt(2), GateUpdateHeavyReductionX: 1.9}
+	if err := cb1Gate([]cb1ProcPoint{pass, pass}); err != nil {
+		t.Fatalf("cb1Gate refused passing points: %v", err)
+	}
+	err := cb1Gate([]cb1ProcPoint{pass, miss})
+	if err == nil {
+		t.Fatal("cb1Gate accepted a 1.9× reduction at P=2")
+	}
+	if !strings.Contains(err.Error(), "GOMAXPROCS=2") {
+		t.Fatalf("error %q does not name the missing P", err)
 	}
 }

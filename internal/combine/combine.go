@@ -53,7 +53,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/adapt"
 	"repro/internal/atomicx"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -125,20 +124,20 @@ type Stats struct {
 	// MaxBatch is the largest round drained so far (monotone).
 	MaxBatch atomicx.PadInt64
 	// Retracts counts the retraction subset of Direct: published ops that
-	// outwaited a busy combiner and escaped to the per-op path — the
-	// adaptive controller's direct evidence that the handoff is hurting.
+	// outwaited a busy combiner and escaped to the per-op path — direct
+	// evidence that the handoff is hurting.
 	Retracts atomicx.PadInt64
 	// ElectFails counts SUBMISSIONS whose first combiner-election CAS
-	// failed: each one proves a concurrent publisher held the round word
-	// — the adaptive controller's clustering signal. Once per
-	// submission, not per wait beat: a single publisher parked behind a
-	// long round would otherwise register dozens of "failures" and read
-	// as clustering it does not prove.
+	// failed: each one proves a concurrent publisher held the round word.
+	// Once per submission, not per wait beat: a single publisher parked
+	// behind a long round would otherwise register dozens of "failures"
+	// and read as clustering it does not prove.
 	ElectFails atomicx.PadInt64
 }
 
-// Counters is a point-in-time snapshot of every combiner counter, in the
-// shape the adaptive controller samples.
+// Counters is a point-in-time snapshot of every combiner counter — the
+// one shape every consumer (sharded.CombineStats, the facade's combine.*
+// gauges, triebench) reads.
 type Counters struct {
 	Rounds, Batched, Direct, MaxBatch, Retracts, ElectFails int64
 }
@@ -150,10 +149,8 @@ type Combiner struct {
 	applyOne func(op Op)    // direct lock-free per-op path
 	slots    []slot
 	mask     uint32
-	sticky   bool          // placed combiner: claim probes from last, not ticket
 	round    atomic.Uint32 // the round word: 0 free, 1 combining
-	ticket   atomic.Uint32 // rotates the slot-probe start point (unplaced)
-	last     atomic.Uint32 // last claimed slot index (placed; advisory)
+	ticket   atomic.Uint32 // rotates the slot-probe start point
 	taken    []*slot       // round scratch; guarded by the round word
 	batch    []Op          // round scratch; guarded by the round word
 	stats    Stats
@@ -182,8 +179,8 @@ var testHookMidRound func()
 
 // SetTestHookMidRound installs f to run inside every combining round,
 // after the round's slots are taken and before the batch applies (nil
-// uninstalls). Test-only: the sharded and facade mid-flip stress suites
-// use it to toggle the adaptive mode word inside the widest round window.
+// uninstalls). Test-only: the sharded conformance and linearizability
+// suites use it to yield the processor inside the widest round window.
 // Install before starting workload goroutines and uninstall after joining
 // them.
 func SetTestHookMidRound(f func()) { testHookMidRound = f }
@@ -230,73 +227,8 @@ func New(n int, apply func(ops []Op), applyOne func(op Op)) *Combiner {
 	}
 }
 
-// Arena is a contiguous block of publication slots shared by a placement
-// group of shards: carving every group member's slots from one allocation
-// keeps the slots the group's publisher goroutines touch on neighbouring
-// pages (arena locality), instead of scattering one 8-KiB slot array per
-// shard across the heap. Carve is not safe for concurrent use — arenas are
-// built at construction time, before any Submit.
-type Arena struct {
-	slots []slot
-	next  int
-}
-
-// NewArena allocates an arena holding total publication slots.
-func NewArena(total int) *Arena {
-	if total < 1 {
-		total = 1
-	}
-	return &Arena{slots: make([]slot, total)}
-}
-
-// Carve returns the next n slots of the arena. It panics if the arena is
-// exhausted — group sizing is a construction-time invariant, not a runtime
-// condition.
-func (a *Arena) Carve(n int) []slot {
-	if a.next+n > len(a.slots) {
-		panic("combine: arena exhausted")
-	}
-	s := a.slots[a.next : a.next+n : a.next+n]
-	a.next += n
-	return s
-}
-
-// NewPlaced returns a combiner over a caller-provided slot block (an arena
-// carve); len(slots) must be a power of two. A placed combiner claims
-// sticky — the probe starts where the last claim landed, so a shard's
-// owning publisher keeps hitting the same warm line — which is the
-// goroutine-to-shard slot-affinity half of the placement model (the arena
-// is the locality half).
-func NewPlaced(slots []slot, apply func(ops []Op), applyOne func(op Op)) *Combiner {
-	if len(slots) == 0 || len(slots)&(len(slots)-1) != 0 {
-		panic("combine: NewPlaced slot count must be a power of two")
-	}
-	return &Combiner{
-		apply:    apply,
-		applyOne: applyOne,
-		slots:    slots,
-		mask:     uint32(len(slots) - 1),
-		sticky:   true,
-	}
-}
-
-// Placed reports whether this combiner claims with sticky slot affinity
-// (constructed by NewPlaced over an arena carve).
-func (c *Combiner) Placed() bool { return c.sticky }
-
-// SlotCount returns the publication-slot count (metrics).
-func (c *Combiner) SlotCount() int { return len(c.slots) }
-
-// StatsSnapshot returns the four headline counter values; Counters has
-// the full set.
-func (c *Combiner) StatsSnapshot() (rounds, batched, direct, maxBatch int64) {
-	return c.stats.Rounds.Load(), c.stats.Batched.Load(),
-		c.stats.Direct.Load(), c.stats.MaxBatch.Load()
-}
-
 // Counters returns a snapshot of every counter (each individually atomic;
-// the set is not a consistent cut, which the EWMA-smoothing consumer
-// tolerates by construction).
+// the set is not a consistent cut).
 func (c *Combiner) Counters() Counters {
 	return Counters{
 		Rounds:     c.stats.Rounds.Load(),
@@ -305,27 +237,6 @@ func (c *Combiner) Counters() Counters {
 		MaxBatch:   c.stats.MaxBatch.Load(),
 		Retracts:   c.stats.Retracts.Load(),
 		ElectFails: c.stats.ElectFails.Load(),
-	}
-}
-
-// Sampler builds the adapt signal reader of one adaptive shard: the
-// combiner counters always ride along, while annLen and pending — the
-// direct-mode clustering signals — are read only when sampling in direct
-// mode (in combining mode the estimate comes from the counter deltas, and
-// the reads would perturb the rounds being measured; see
-// adapt.Controller).
-func Sampler(c *Combiner, annLen, pending func() int64) func(combining bool) adapt.Sample {
-	return func(combining bool) adapt.Sample {
-		cs := c.Counters()
-		s := adapt.Sample{
-			Rounds: cs.Rounds, Batched: cs.Batched,
-			Retracts: cs.Retracts, ElectFails: cs.ElectFails,
-		}
-		if !combining {
-			s.AnnLen = annLen()
-			s.Pending = pending()
-		}
-		return s
 	}
 }
 
@@ -413,25 +324,13 @@ func waitBeat(s *slot, singleP bool) bool {
 
 // claim finds a free slot and moves it empty→writing, or returns nil after
 // one full scan — the combiner is saturated and the caller should go
-// direct. A placed combiner starts the probe at the slot the last claim
-// landed on (sticky affinity: a shard's dominant publisher keeps reusing
-// one warm cache line, and with few publishers per placed shard the
-// occasional collision just advances the scan by one); an unplaced one
-// rotates the start point so concurrent publishers spread across lines.
+// direct. The probe start rotates so concurrent publishers spread across
+// lines.
 func (c *Combiner) claim() *slot {
-	var start uint32
-	if c.sticky {
-		start = c.last.Load()
-	} else {
-		start = c.ticket.Add(1)
-	}
+	start := c.ticket.Add(1)
 	for i := uint32(0); i <= c.mask; i++ {
-		idx := (start + i) & c.mask
-		s := &c.slots[idx]
+		s := &c.slots[(start+i)&c.mask]
 		if s.state.Load() == slotEmpty && s.state.CompareAndSwap(slotEmpty, slotWriting) {
-			if c.sticky && idx != start {
-				c.last.Store(idx) // plain race-tolerant hint, not a protocol word
-			}
 			return s
 		}
 	}
@@ -470,8 +369,8 @@ func (c *Combiner) runRound() {
 	// Elections happen once per round — far too hot to trace unsampled
 	// (a clustered mix runs a round every ~7 ops), so one round in
 	// ElectEventEvery carries the trace, with the batch size as its
-	// signal value. Retractions and the adaptive events stay
-	// unsampled; they are rare and individually meaningful.
+	// signal value. Retractions stay unsampled; they are rare and
+	// individually meaningful.
 	if c.events != nil && rounds%obs.ElectEventEvery == 0 {
 		c.events.Publish(obs.KindCombinerElect, c.evShard, int64(len(c.taken)), rounds)
 	}

@@ -96,11 +96,11 @@ func TestSubmitAppliesEveryOp(t *testing.T) {
 			t.Fatalf("slot %d left in state %d", i, st)
 		}
 	}
-	rounds, batched, direct, maxBatch := c.StatsSnapshot()
-	if batched+direct != int64(goroutines*per) {
-		t.Fatalf("batched %d + direct %d ≠ submitted %d", batched, direct, goroutines*per)
+	cs := c.Counters()
+	if cs.Batched+cs.Direct != int64(goroutines*per) {
+		t.Fatalf("batched %d + direct %d ≠ submitted %d", cs.Batched, cs.Direct, goroutines*per)
 	}
-	t.Logf("rounds=%d batched=%d direct=%d max=%d", rounds, batched, direct, maxBatch)
+	t.Logf("rounds=%d batched=%d direct=%d max=%d", cs.Rounds, cs.Batched, cs.Direct, cs.MaxBatch)
 }
 
 // TestCombinerStallHandoff parks the elected combiner mid-round (after it
@@ -191,8 +191,7 @@ func TestSubmitFullSlotsFallsBack(t *testing.T) {
 	if !b.state[42] {
 		t.Fatal("overflow op was not applied")
 	}
-	_, _, direct, _ := c.StatsSnapshot()
-	if direct != 1 {
+	if direct := c.Counters().Direct; direct != 1 {
 		t.Fatalf("direct = %d, want 1", direct)
 	}
 	for i := range c.slots {

@@ -73,8 +73,8 @@ func TestCombiningQuiescentState(t *testing.T) {
 			if got := tr.Len(); got != n {
 				t.Fatalf("quiescent Len = %d, want %d", got, n)
 			}
-			rounds, batched, direct, maxBatch := tr.CombineStats()
-			t.Logf("k=%d rounds=%d batched=%d direct=%d max=%d", k, rounds, batched, direct, maxBatch)
+			cs := tr.CombineStats()
+			t.Logf("k=%d rounds=%d batched=%d direct=%d max=%d", k, cs.Rounds, cs.Batched, cs.Direct, cs.MaxBatch)
 		})
 	}
 }

@@ -2,7 +2,7 @@ package sharded_test
 
 import (
 	"fmt"
-	"sync/atomic"
+	"runtime"
 	"testing"
 
 	"repro/internal/combine"
@@ -20,62 +20,28 @@ func factory(k int) settest.Factory {
 	return func(u int64) (settest.Set, error) { return sharded.New(u, k) }
 }
 
-// adaptiveFlipFactory builds adaptive tries (aggressive controller,
-// combining at start so rounds run from the first op) and wires the
-// mid-round test hook to force-flip a rotating shard's mode inside every
-// round — the mid-flip window of DESIGN.md §Adaptive combining. Two
-// thirds of the forced flips re-enable combining so rounds (and therefore
-// the hook) keep firing.
-func adaptiveFlipFactory(t *testing.T, k int) settest.Factory {
+// combiningFactory builds combining tries and wires the mid-round test
+// hook to yield the processor inside every round, after the round's slots
+// are taken and before its batch applies: the widest window of the
+// combining protocol, in which peers retract, elect and publish against a
+// round that holds claimed ops.
+func combiningFactory(t *testing.T, k int) settest.Factory {
 	t.Helper()
-	var cur atomic.Pointer[sharded.Trie]
-	var n atomic.Int64
-	combine.SetTestHookMidRound(func() {
-		if tr := cur.Load(); tr != nil {
-			i := n.Add(1)
-			tr.ShardController(int(i) % k).ForceMode(i%3 != 0)
-		}
-	})
+	combine.SetTestHookMidRound(runtime.Gosched)
 	t.Cleanup(func() { combine.SetTestHookMidRound(nil) })
-	return func(u int64) (settest.Set, error) {
-		cfg := aggressiveCfg()
-		cfg.StartCombining = true
-		tr, err := sharded.NewAdaptive(u, k, cfg)
-		if err != nil {
-			return nil, err
-		}
-		cur.Store(tr)
-		return tr, nil
-	}
+	return func(u int64) (settest.Set, error) { return sharded.NewCombining(u, k) }
 }
 
-// placedFactory builds combining tries with a grouped placement hint
-// (shards i and i+1 share a group), proving placement is pure layout:
-// the same conformance suite must pass with arena-carved sticky slots as
-// with the default per-shard rotating ones.
-func placedFactory(k int) settest.Factory {
-	hint := make([]int, k)
-	for i := range hint {
-		hint[i] = i / 2 * 2 // pair up adjacent shards; identity at k=1
-	}
-	return func(u int64) (settest.Set, error) {
-		return sharded.NewWithOptions(u, k, sharded.Options{Combining: true, Placement: hint})
-	}
-}
-
-// forEachVariant runs fn against the plain factory, the adaptive
-// flip-stressed one, and the placement-hinted one, at every shard count.
+// forEachVariant runs fn against the plain factory and the combining one,
+// at every shard count.
 func forEachVariant(t *testing.T, fn func(t *testing.T, f settest.Factory)) {
 	for _, k := range shardCounts {
 		k := k
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
 			fn(t, factory(k))
 		})
-		t.Run(fmt.Sprintf("shards=%d/adaptive", k), func(t *testing.T) {
-			fn(t, adaptiveFlipFactory(t, k))
-		})
-		t.Run(fmt.Sprintf("shards=%d/placed", k), func(t *testing.T) {
-			fn(t, placedFactory(k))
+		t.Run(fmt.Sprintf("shards=%d/combining", k), func(t *testing.T) {
+			fn(t, combiningFactory(t, k))
 		})
 	}
 }

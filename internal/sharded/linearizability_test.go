@@ -3,8 +3,8 @@ package sharded_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/combine"
@@ -101,32 +101,14 @@ func forEachShardCount(t *testing.T, name string, fn func(t *testing.T, k int, m
 		t.Run(fmt.Sprintf("%s/shards=%d", name, k), func(t *testing.T) {
 			fn(t, k, sharded.New)
 		})
-		// The adaptive variant records the same histories while per-shard
-		// modes flip underneath: organically (aggressive controller,
-		// combining at start) and forcibly inside every combining round
-		// via the mid-round hook — the combiner-drain handoff on disable
-		// included, since a forced off-flip mid-round leaves the round to
-		// finish while new ops go direct.
-		t.Run(fmt.Sprintf("%s/shards=%d/adaptive", name, k), func(t *testing.T) {
-			var cur atomic.Pointer[sharded.Trie]
-			var n atomic.Int64
-			combine.SetTestHookMidRound(func() {
-				if tr := cur.Load(); tr != nil {
-					i := n.Add(1)
-					tr.ShardController(int(i) % k).ForceMode(i%3 != 0)
-				}
-			})
+		// The combining variant records the same histories with every
+		// round yielding the processor between taking its slots and
+		// applying its batch, so peers retract, elect and read against
+		// claimed-but-unapplied ops.
+		t.Run(fmt.Sprintf("%s/shards=%d/combining", name, k), func(t *testing.T) {
+			combine.SetTestHookMidRound(runtime.Gosched)
 			t.Cleanup(func() { combine.SetTestHookMidRound(nil) })
-			fn(t, k, func(u int64, kk int) (*sharded.Trie, error) {
-				cfg := aggressiveCfg()
-				cfg.StartCombining = true
-				tr, err := sharded.NewAdaptive(u, kk, cfg)
-				if err != nil {
-					return nil, err
-				}
-				cur.Store(tr)
-				return tr, nil
-			})
+			fn(t, k, sharded.NewCombining)
 		})
 	}
 }

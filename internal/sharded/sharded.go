@@ -30,11 +30,9 @@ package sharded
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/adapt"
 	"repro/internal/combine"
 	"repro/internal/core"
 )
@@ -55,19 +53,16 @@ const MaxShards = 1 << 16
 var ScanRetries = 64
 
 // shard is one partition: an independent core trie plus its occupancy
-// summary, (with NewCombining or NewAdaptive) its flat-combining
-// publication slots, and (with NewAdaptive) the controller that flips its
-// publication mode at runtime. Padded to 128 bytes (two cache lines,
-// clear of the adjacent-line prefetcher) so neighbouring shards' counters
-// never false-share.
+// summary and (with NewCombining) its flat-combining publication slots.
+// Padded to 128 bytes (two cache lines, clear of the adjacent-line
+// prefetcher) so neighbouring shards' counters never false-share.
 type shard struct {
 	trie    *core.Trie
 	count   atomic.Int64 // cardinality over-approximation (≥ |S ∩ shard|)
 	pending atomic.Int64 // in-flight updates
 	version atomic.Int64 // completed winning updates
 	comb    *combine.Combiner
-	ctl     *adapt.Controller
-	_       [80]byte
+	_       [88]byte
 }
 
 // max returns the largest key in the shard (local coordinates), or −1. Two
@@ -88,71 +83,6 @@ type Trie struct {
 	width     int64 // u / k, keys per shard
 	shardBits uint  // log2(width)
 	shards    []shard
-	placement []int // shard→group placement hint; nil when unplaced
-}
-
-// Options selects the publication machinery for NewWithOptions. The zero
-// value is plain New: per-op direct publication, no combiner, no
-// controller, no placement.
-type Options struct {
-	// Combining enables per-shard flat combining (NewCombining).
-	Combining bool
-	// Adaptive, when non-nil, adds per-shard controllers driving the
-	// publication mode at runtime (NewAdaptive; implies Combining). Zero
-	// fields of the config take the tuned defaults.
-	Adaptive *adapt.Config
-	// Placement is the core-aware placement hint: Placement[i] is the
-	// group id of the publisher population owning shard i's key range.
-	// Shards sharing a group carve their publication slots from one
-	// contiguous arena (so a group's slots live on neighbouring pages,
-	// near the goroutines that publish to them) and claim sticky (a
-	// shard's dominant publisher reuses one warm cache line between
-	// operations). Requires Combining — placement shapes the publication
-	// slots, and the direct path has none. Validate with
-	// ValidatePlacement; nil means unplaced (the identity of the default
-	// layout: one private slot array per shard, rotating claims).
-	Placement []int
-}
-
-// ValidatePlacement checks a placement hint against a shard count: the
-// hint must assign every one of the k shards a group id in [0, k). An
-// identity hint (Placement[i] = i) reproduces the unplaced slot layout
-// with sticky claims — the portable "each shard owned by its own
-// publisher" default.
-func ValidatePlacement(hint []int, k int) error {
-	if len(hint) != k {
-		return fmt.Errorf("sharded: placement hint has %d entries for %d shards", len(hint), k)
-	}
-	for i, g := range hint {
-		if g < 0 || g >= k {
-			return fmt.Errorf("sharded: placement hint[%d] = %d outside group range [0, %d)", i, g, k)
-		}
-	}
-	return nil
-}
-
-// placementSlots sizes one placed shard's publication-slot carve: the
-// GOMAXPROCS-proportional budget of DefaultSlots divided across the
-// placement groups (each group is one publisher population), floored at 8
-// so retraction pressure stays rare and rounded to the power of two the
-// claim mask needs.
-func placementSlots(groups int) int {
-	n := 4 * runtime.GOMAXPROCS(0) / groups
-	if n < 8 {
-		n = 8
-	}
-	if n > 256 {
-		n = 256
-	}
-	return ceilPow2(n)
-}
-
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // geometry validates (u, k) and returns the padded universe, shard width
@@ -176,7 +106,7 @@ func geometry(u int64, k int) (pu, width int64, shardBits uint, err error) {
 // next power of two) split into k contiguous shards. k must be a power of
 // two with 1 ≤ k ≤ min(MaxShards, paddedU/2), so every shard spans at least
 // two keys.
-func New(u int64, k int) (*Trie, error) { return NewWithOptions(u, k, Options{}) }
+func New(u int64, k int) (*Trie, error) { return newTrie(u, k, false) }
 
 // NewCombining is New with per-shard flat combining enabled: every shard
 // gets a combine.Combiner (default slot count) and Insert/Delete publish
@@ -184,35 +114,9 @@ func New(u int64, k int) (*Trie, error) { return NewWithOptions(u, k, Options{})
 // concurrent same-shard updates are drained into single core.ApplyBatch
 // calls that announce once per batch (DESIGN.md §Combining layer). Reads
 // and ApplyBatch are identical in both modes.
-func NewCombining(u int64, k int) (*Trie, error) {
-	return NewWithOptions(u, k, Options{Combining: true})
-}
+func NewCombining(u int64, k int) (*Trie, error) { return newTrie(u, k, true) }
 
-// NewAdaptive is NewCombining with the construction-time decision moved to
-// runtime: every shard gets a combiner AND an adapt.Controller, and each
-// Insert/Delete routes on the owning shard's current mode word — direct
-// per-op publication until that shard's contention signals (announcement
-// length, in-flight updates, drained batch sizes, election contention,
-// retraction pressure) say combining would amortize, and back again with
-// hysteresis when batches degenerate (DESIGN.md §Adaptive combining).
-// cfg's zero fields take the tuned defaults.
-func NewAdaptive(u int64, k int, cfg adapt.Config) (*Trie, error) {
-	return NewWithOptions(u, k, Options{Combining: true, Adaptive: &cfg})
-}
-
-// NewWithOptions is the general constructor: New, NewCombining and
-// NewAdaptive are fixed points of its Options space, and Placement is
-// reachable only through it.
-func NewWithOptions(u int64, k int, o Options) (*Trie, error) {
-	combining := o.Combining || o.Adaptive != nil
-	if o.Placement != nil {
-		if !combining {
-			return nil, fmt.Errorf("sharded: placement requires the combining layer (it shapes publication slots)")
-		}
-		if err := ValidatePlacement(o.Placement, k); err != nil {
-			return nil, err
-		}
-	}
+func newTrie(u int64, k int, combining bool) (*Trie, error) {
 	pu, width, shardBits, err := geometry(u, k)
 	if err != nil {
 		return nil, err
@@ -224,48 +128,23 @@ func NewWithOptions(u int64, k int, o Options) (*Trie, error) {
 		shardBits: shardBits,
 		shards:    make([]shard, k),
 	}
-	// Placed construction: one arena per placement group, carved in shard
-	// order so a group's shards get contiguous slot blocks.
-	var arenas map[int]*combine.Arena
-	var slotsPer int
-	if o.Placement != nil {
-		sizes := map[int]int{}
-		for _, g := range o.Placement {
-			sizes[g]++
-		}
-		slotsPer = placementSlots(len(sizes))
-		arenas = make(map[int]*combine.Arena, len(sizes))
-		for g, n := range sizes {
-			arenas[g] = combine.NewArena(slotsPer * n)
-		}
-		t.placement = append([]int(nil), o.Placement...)
-	}
 	for i := range t.shards {
 		c, err := core.New(t.width)
 		if err != nil {
 			return nil, err
 		}
-		t.shards[i].trie = c
+		sh := &t.shards[i]
+		sh.trie = c
 		if combining {
-			sh := &t.shards[i]
-			apply := func(ops []combine.Op) { t.applyShardBatch(sh, ops) }
-			applyOne := func(op combine.Op) {
-				if op.Del {
-					t.deleteDirect(sh, op.Key)
-				} else {
-					t.insertDirect(sh, op.Key)
-				}
-			}
-			if arenas != nil {
-				sh.comb = combine.NewPlaced(arenas[o.Placement[i]].Carve(slotsPer), apply, applyOne)
-			} else {
-				sh.comb = combine.New(0, apply, applyOne)
-			}
-			if o.Adaptive != nil {
-				sh.ctl = adapt.New(*o.Adaptive, combine.Sampler(sh.comb,
-					func() int64 { return int64(sh.trie.AnnouncedUpdates()) },
-					sh.pending.Load))
-			}
+			sh.comb = combine.New(0,
+				func(ops []combine.Op) { t.applyShardBatch(sh, ops) },
+				func(op combine.Op) {
+					if op.Del {
+						t.deleteDirect(sh, op.Key)
+					} else {
+						t.insertDirect(sh, op.Key)
+					}
+				})
 		}
 	}
 	return t, nil
@@ -321,15 +200,6 @@ func (t *Trie) Search(x int64) bool {
 // Precondition: 0 ≤ x < U().
 func (t *Trie) Insert(x int64) {
 	sh, lx := t.home(x)
-	if sh.ctl != nil {
-		sh.ctl.Tick()
-		if sh.ctl.Combining() {
-			sh.comb.Submit(combine.Op{Key: lx})
-			return
-		}
-		t.insertDirect(sh, lx)
-		return
-	}
 	if sh.comb != nil {
 		sh.comb.Submit(combine.Op{Key: lx})
 		return
@@ -355,15 +225,6 @@ func (t *Trie) insertDirect(sh *shard, lx int64) {
 // Precondition: 0 ≤ x < U().
 func (t *Trie) Delete(x int64) {
 	sh, lx := t.home(x)
-	if sh.ctl != nil {
-		sh.ctl.Tick()
-		if sh.ctl.Combining() {
-			sh.comb.Submit(combine.Op{Key: lx, Del: true})
-			return
-		}
-		t.deleteDirect(sh, lx)
-		return
-	}
 	if sh.comb != nil {
 		sh.comb.Submit(combine.Op{Key: lx, Del: true})
 		return
@@ -433,73 +294,32 @@ func (t *Trie) ApplyBatch(ops []core.BatchOp) {
 	}
 }
 
-// Combining reports whether this trie HAS a per-shard combining layer
-// (NewCombining and NewAdaptive both do; under NewAdaptive whether a
-// given update publishes through it is the owning shard's live mode —
-// see ShardCombining).
+// Combining reports whether this trie has a per-shard combining layer
+// (NewCombining).
 func (t *Trie) Combining() bool { return t.shards[0].comb != nil }
-
-// Adaptive reports whether per-shard controllers drive the publication
-// mode at runtime.
-func (t *Trie) Adaptive() bool { return t.shards[0].ctl != nil }
-
-// ShardCombining reports shard i's current publication mode (always true
-// under NewCombining, always false under New).
-func (t *Trie) ShardCombining(i int) bool {
-	sh := &t.shards[i]
-	if sh.ctl != nil {
-		return sh.ctl.Combining()
-	}
-	return sh.comb != nil
-}
-
-// ShardController returns shard i's adaptive controller, or nil (tests,
-// stats).
-func (t *Trie) ShardController(i int) *adapt.Controller { return t.shards[i].ctl }
 
 // ShardCombiner returns shard i's combiner, or nil when combining is
 // disabled (observability wiring, tests).
 func (t *Trie) ShardCombiner(i int) *combine.Combiner { return t.shards[i].comb }
 
-// Placement returns a copy of the placement hint the trie was built with,
-// or nil when unplaced.
-func (t *Trie) Placement() []int {
-	if t.placement == nil {
-		return nil
-	}
-	return append([]int(nil), t.placement...)
-}
-
-// AdaptiveStats sums the per-shard mode-transition counters (zeros when
-// the trie is not adaptive): cumulative direct→combining enables and
-// combining→direct disables across all shards.
-func (t *Trie) AdaptiveStats() (enables, disables int64) {
-	for i := range t.shards {
-		if c := t.shards[i].ctl; c != nil {
-			e, d := c.Transitions()
-			enables += e
-			disables += d
-		}
-	}
-	return enables, disables
-}
-
 // CombineStats sums the per-shard combiner counters (zeros when combining
-// is disabled): rounds drained, ops applied inside rounds, ops that took
-// the direct fallback, and the largest single round.
-func (t *Trie) CombineStats() (rounds, batched, direct, maxBatch int64) {
+// is disabled); MaxBatch is the largest single round on any shard.
+func (t *Trie) CombineStats() combine.Counters {
+	var tot combine.Counters
 	for i := range t.shards {
-		if c := t.shards[i].comb; c != nil {
-			r, b, d, m := c.StatsSnapshot()
-			rounds += r
-			batched += b
-			direct += d
-			if m > maxBatch {
-				maxBatch = m
-			}
+		c := t.shards[i].comb
+		if c == nil {
+			continue
 		}
+		cs := c.Counters()
+		tot.Rounds += cs.Rounds
+		tot.Batched += cs.Batched
+		tot.Direct += cs.Direct
+		tot.MaxBatch = max(tot.MaxBatch, cs.MaxBatch)
+		tot.Retracts += cs.Retracts
+		tot.ElectFails += cs.ElectFails
 	}
-	return rounds, batched, direct, maxBatch
+	return tot
 }
 
 // Predecessor returns the largest key in the set strictly smaller than y,

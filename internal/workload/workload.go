@@ -142,9 +142,8 @@ func (d Band) Next(rng *rand.Rand) int64 { return d.Lo + rng.Int63n(d.Width) }
 func (d Band) Name() string { return "band" }
 
 // Bands partitions [0, u) into n equal-width disjoint bands, one per
-// worker — the standard disjoint-range workload for the sharding (S1) and
-// multicore-placement (MP1) experiments, where worker i's keys never
-// collide with worker j's. The trailing band absorbs any remainder when n
+// worker — the standard disjoint-range workload, where worker i's keys
+// never collide with worker j's. The trailing band absorbs any remainder when n
 // does not divide u.
 func Bands(u int64, n int) []Band {
 	if n <= 0 {

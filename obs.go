@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/bitstrie"
-	"repro/internal/combine"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sharded"
@@ -144,9 +143,9 @@ func newObsState(cfg *config) *obsState {
 
 // instrumentSharded wires every shard of one sharded table: the shared
 // core and descent Stats structs, the EBR trace, and — where the
-// configuration built them — the per-shard combiner and adaptive-controller
-// traces. Must run before the table sees concurrent use (the attach points
-// are plain stores): New instruments the table while it is still private.
+// configuration built them — the per-shard combiner traces. Must run
+// before the table sees concurrent use (the attach points are plain
+// stores): New instruments the table while it is still private.
 func (o *obsState) instrumentSharded(t *sharded.Trie) {
 	for i := 0; i < t.Shards(); i++ {
 		c := t.Shard(i)
@@ -158,9 +157,6 @@ func (o *obsState) instrumentSharded(t *sharded.Trie) {
 		if comb := t.ShardCombiner(i); comb != nil {
 			comb.SetEvents(o.ring, int32(i))
 		}
-		if ctl := t.ShardController(i); ctl != nil {
-			ctl.SetEvents(o.ring, int32(i))
-		}
 	}
 }
 
@@ -169,33 +165,6 @@ func (t *Trie) eachCore(fn func(*core.Trie)) {
 	for i := 0; i < t.st.Shards(); i++ {
 		fn(t.st.Shard(i))
 	}
-}
-
-// eachCombiner visits the trie's combiners (none when combining is off).
-func (t *Trie) eachCombiner(fn func(*combine.Combiner)) {
-	for i := 0; i < t.st.Shards(); i++ {
-		if c := t.st.ShardCombiner(i); c != nil {
-			fn(c)
-		}
-	}
-}
-
-// combineTotals sums the combiner counters across shards (MaxBatch takes
-// the max).
-func (t *Trie) combineTotals() combine.Counters {
-	var tot combine.Counters
-	t.eachCombiner(func(c *combine.Combiner) {
-		cs := c.Counters()
-		tot.Rounds += cs.Rounds
-		tot.Batched += cs.Batched
-		tot.Direct += cs.Direct
-		if cs.MaxBatch > tot.MaxBatch {
-			tot.MaxBatch = cs.MaxBatch
-		}
-		tot.Retracts += cs.Retracts
-		tot.ElectFails += cs.ElectFails
-	})
-	return tot
 }
 
 // registerObsGauges folds every existing subsystem Stats surface into the
@@ -229,16 +198,12 @@ func (t *Trie) registerObsGauges() {
 
 	// Combining layer.
 	if t.st.Combining() {
-		r.Gauge("combine.rounds", func() int64 { return t.combineTotals().Rounds })
-		r.Gauge("combine.batched", func() int64 { return t.combineTotals().Batched })
-		r.Gauge("combine.direct", func() int64 { return t.combineTotals().Direct })
-		r.Gauge("combine.max_batch", func() int64 { return t.combineTotals().MaxBatch })
-		r.Gauge("combine.retracts", func() int64 { return t.combineTotals().Retracts })
-		r.Gauge("combine.elect_fails", func() int64 { return t.combineTotals().ElectFails })
-	}
-	if t.st.Adaptive() {
-		r.Gauge("adaptive.enables", func() int64 { e, _ := t.AdaptiveStats(); return e })
-		r.Gauge("adaptive.disables", func() int64 { _, d := t.AdaptiveStats(); return d })
+		r.Gauge("combine.rounds", func() int64 { return t.st.CombineStats().Rounds })
+		r.Gauge("combine.batched", func() int64 { return t.st.CombineStats().Batched })
+		r.Gauge("combine.direct", func() int64 { return t.st.CombineStats().Direct })
+		r.Gauge("combine.max_batch", func() int64 { return t.st.CombineStats().MaxBatch })
+		r.Gauge("combine.retracts", func() int64 { return t.st.CombineStats().Retracts })
+		r.Gauge("combine.elect_fails", func() int64 { return t.st.CombineStats().ElectFails })
 	}
 
 	// Reclamation: the highest domain epoch across the shards (each shard
@@ -269,7 +234,7 @@ func (t *Trie) registerObsGauges() {
 // MetricsSnapshot returns a timestamped reading of every metric the trie
 // maintains, under the versioned repro.trie schema: ops.* operation
 // counters, latency.*_ns sampled histograms, and the per-subsystem gauges
-// (core.*, bits.*, combine.*, adaptive.*, ebr.*, trie.*, events.*).
+// (core.*, bits.*, combine.*, ebr.*, trie.*, events.*).
 // Weakly consistent — each value is one atomic read, the set is not a
 // consistent cut. Rate a window with Snapshot.Delta; serve it with
 // internal/obs/export. Empty (schema header only) under
@@ -297,9 +262,9 @@ func (t *Trie) MetricsSnapshot() obs.Snapshot {
 
 // TraceEvent is one drained control-plane event, decoded for consumers:
 // Kind is the event name, Shard the shard it concerns, and Values the
-// kind-specific named readings — the triggering signal values of an
-// adaptive flip, the drained batch of a combiner election, and so on (see
-// internal/obs for the layouts).
+// kind-specific named readings — the new epoch of an EBR advance, the
+// drained batch of a combiner election, and so on (see internal/obs for
+// the layouts).
 type TraceEvent struct {
 	// Seq is the ring ticket: strictly increasing in publication order;
 	// gaps mark events overwritten before they were drained.
@@ -315,15 +280,12 @@ type TraceEvent struct {
 // traceArgNames maps each event kind to the names of its arguments, in
 // obs arg order. Kinds absent here surface their raw args as arg0….
 var traceArgNames = map[obs.Kind][]string{
-	obs.KindAdaptiveEnable:  {"ewma_milli", "throughput_fired", "throughput_ops", "direct_peak_ops"},
-	obs.KindAdaptiveDisable: {"ewma_milli", "retract_rate_milli", "rounds", "retracts"},
 	obs.KindEpochAdvance:    {"epoch"},
 	obs.KindCombinerElect:   {"batch", "rounds"},
 	obs.KindCombinerRetract: {"wait_beats"},
 }
 
-// Events drains the control-plane trace ring: adaptive-combining flips
-// with the signal values that triggered them, EBR epoch advances, sampled
+// Events drains the control-plane trace ring: EBR epoch advances, sampled
 // combiner elections, and retractions. Each event is returned exactly once
 // across all Events calls; when the bounded ring wraps before a drain,
 // the OLDEST undrained events are dropped (counted in the

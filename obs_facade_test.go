@@ -192,28 +192,20 @@ func TestDescentStatsGated(t *testing.T) {
 	}
 }
 
-// TestEventsCaptureAdaptiveFlip is the acceptance trace: under a
-// clustered update burst an adaptive controller must publish at least one
-// enable flip with its triggering signal values.
-func TestEventsCaptureAdaptiveFlip(t *testing.T) {
-	tr, err := lockfreetrie.New(1<<12,
-		// Aggressive tuning so the flip lands within the burst even on a
-		// single-P host: sample every 4 ops, enable at a sustained ~1.5
-		// concurrent publishers, flip after one sample of dwell.
-		lockfreetrie.WithAdaptiveCombining(lockfreetrie.AdaptiveConfig{
-			SampleEvery:      4,
-			EnableThreshold:  1.5,
-			DisableThreshold: 0.5,
-			MinDwellSamples:  1,
-		}),
-	)
+// TestEventsCaptureCombinerElect is the end-to-end trace test: under a
+// clustered update burst through WithCombining, Trie.Events must surface
+// the sampled combiner-election events with their decoded batch and
+// round readings, and no event may claim more rounds than the
+// combine.rounds gauge counted (the ring may drop, never invent).
+func TestEventsCaptureCombinerElect(t *testing.T) {
+	tr, err := lockfreetrie.New(1<<12, lockfreetrie.WithCombining())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The burst can publish more events than the ring holds (epoch
 	// advances, retractions), so a concurrent drainer keeps the early
-	// enable from being overwritten.
+	// elections from being overwritten.
 	stop := make(chan struct{})
 	drained := make(chan []lockfreetrie.TraceEvent)
 	go func() {
@@ -231,7 +223,9 @@ func TestEventsCaptureAdaptiveFlip(t *testing.T) {
 		}
 	}()
 
-	// Clustered update burst → adaptive enable.
+	// Clustered update burst: every op publishes to the one combiner, and
+	// every round is an election, so the burst runs far more than
+	// obs.ElectEventEvery rounds.
 	const workers, per = 8, 4000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -251,25 +245,22 @@ func TestEventsCaptureAdaptiveFlip(t *testing.T) {
 	wg.Wait()
 	close(stop)
 
-	var enables int
+	rounds := tr.MetricsSnapshot().Counters["combine.rounds"]
+	var elects int
 	for _, e := range <-drained {
-		if e.Kind == "adaptive-enable" {
-			enables++
-			if _, ok := e.Values["ewma_milli"]; !ok {
-				t.Errorf("adaptive-enable event missing its triggering signal: %+v", e)
-			}
+		if e.Kind != "combiner-elect" {
+			continue
+		}
+		elects++
+		if e.Values["batch"] < 1 {
+			t.Errorf("combiner-elect event drained no ops: %+v", e)
+		}
+		if r := e.Values["rounds"]; r < 1 || r > rounds {
+			t.Errorf("combiner-elect event at round %d outside the %d rounds counted: %+v", r, rounds, e)
 		}
 	}
-	if enables == 0 {
-		t.Error("no adaptive-enable event captured across the clustered burst")
-	}
-
-	// The transition counter and the event trace must agree in spirit: at
-	// least as many transitions counted as events captured (the ring may
-	// drop, never invent).
-	en, _ := tr.AdaptiveStats()
-	if int(en) < enables {
-		t.Errorf("AdaptiveStats enables = %d < %d captured events", en, enables)
+	if elects == 0 {
+		t.Errorf("no combiner-elect event captured across %d combining rounds", rounds)
 	}
 	if s := tr.MetricsSnapshot(); s.Counters["trie.shards"] != 1 {
 		t.Errorf("trie.shards gauge = %d, want 1", s.Counters["trie.shards"])

@@ -34,22 +34,16 @@
 // When many goroutines update the SAME shard, add WithCombining() to batch
 // their announcements through a per-shard flat-combining layer, or call
 // Trie.ApplyBatch directly if the application already aggregates writes.
-// If the update clustering is unknown or varies at runtime, use
-// WithAdaptiveCombining() instead: each shard then watches its own
-// contention signals and flips between direct and combining publication
-// with hysteresis (DESIGN.md §Adaptive combining). The shard count itself
-// is fixed at construction by WithShards.
+// Both the shard count and the publication path are fixed at construction.
 //
 // See examples/ for runnable programs and DESIGN.md for the architecture.
 package lockfreetrie
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/combine"
 	"repro/internal/core"
 	"repro/internal/sharded"
@@ -74,10 +68,7 @@ func (e *KeyRangeError) Error() string {
 type config struct {
 	shards     int
 	combining  bool
-	adaptive   bool
-	acfg       adapt.Config
 	noCompress bool
-	placement  []int // WithPlacementHint copy; nil when unplaced
 	// Observability options (obs.go). latEvery 0 selects the default
 	// sampling cadence.
 	obsOff       bool
@@ -153,174 +144,19 @@ func WithoutCompressedDescents() Option {
 // given up is per-op lock-freedom for claimed updates: an operation a
 // combiner has drained waits for that round to finish (flat combining's
 // standard trade; the claim window spans one batch application of
-// lock-free code). Worth it when many goroutines update the same shard —
-// the announcement amortization experiment CB1 records the trajectory in
-// BENCH_combine.json; with few concurrent updaters the batches degenerate
-// to size 1 and the handoff is pure overhead.
+// lock-free code). Worth it when a shard has more concurrent updaters
+// than the host has processors to run them: with 16 goroutines on a
+// 2-vCPU host, CB1 (BENCH_combine.json) measured 2.9–4.7× the per-op
+// throughput at GOMAXPROCS=1, but at GOMAXPROCS=2 1.26× on a
+// predecessor-heavy mix, 1.16× on a uniform one, and 0.84× and 0.80× on
+// update-only mixes over one shard and one hot shard of 16. With few
+// concurrent updaters per shard the batches degenerate to size 1 and the
+// handoff is pure overhead.
 func WithCombining() Option {
 	return func(c *config) error {
 		c.combining = true
 		return nil
 	}
-}
-
-// AdaptiveConfig tunes WithAdaptiveCombining. The zero value of every
-// field selects a default tuned from the CB1/AD1 trajectory data
-// (BENCH_combine.json, BENCH_adaptive.json: clustered workloads drain
-// 6.8–16 ops per combining round and park 7–15 concurrent publishers per
-// shard, thin-spread ones ~1 and 0–4, so the default hysteresis band
-// [1.4, 4.0] separates the regimes with margin on both sides).
-type AdaptiveConfig struct {
-	// SampleEvery is the number of updates between signal samples per
-	// shard (default 128).
-	SampleEvery int
-	// EnableThreshold is the contention estimate — the batch size a
-	// combining round would drain, inferred from announced and in-flight
-	// concurrent updates — at which a shard switches its updates to the
-	// combining layer (default 4.0; deliberately conservative, because a
-	// wrong enable is hard to detect from inside — see DESIGN.md
-	// §Adaptive combining).
-	EnableThreshold float64
-	// DisableThreshold is the observed batch-size EWMA at which a
-	// combining shard switches back to direct publication (default 1.4).
-	// Must be below EnableThreshold; the gap is the hysteresis band.
-	DisableThreshold float64
-	// RetractRateDisable is the fraction of submissions escaping a busy
-	// combiner (retraction rate) that disables combining regardless of
-	// batch sizes (default 0.5).
-	RetractRateDisable float64
-	// SmoothingAlpha is the EWMA weight of the newest signal observation,
-	// in (0, 1] (default 0.4). Higher values react to regime changes in
-	// fewer samples; lower values demand more sustained evidence before a
-	// flip.
-	SmoothingAlpha float64
-	// MinDwellSamples is the minimum number of samples a shard stays in
-	// a mode before it may flip again (default 4).
-	MinDwellSamples int
-	// StartCombining selects each shard's initial mode (default:
-	// direct).
-	StartCombining bool
-}
-
-// WithAdaptiveCombining is WithCombining with the decision moved from
-// construction time to runtime, per shard: every shard gets publication
-// slots AND a controller that samples the shard's contention signals
-// (announcement-list length and in-flight updates while direct; drained
-// batch size, combiner-election contention and retraction pressure while
-// combining) every SampleEvery updates and flips an atomic mode word the
-// update path reads on every operation. Enable and disable use distinct
-// thresholds plus a minimum dwell, so workloads wandering near one
-// threshold do not thrash, and operations in flight across a flip stay
-// linearizable — the mode word is advisory routing over two publication
-// paths that are already safe concurrently (DESIGN.md §Adaptive
-// combining).
-//
-// Use it when the update clustering is unknown or varies: a shard that
-// stays thin keeps the direct path's throughput (the AD1 experiment gates
-// ≥ 0.95× uncombined on a thin-spread mix), while a shard that becomes hot
-// converges to the combining path's (≥ 0.9× always-on combining on
-// clustered mixes, BENCH_adaptive.json). With a KNOWN stable workload the
-// static choices — WithCombining() or nothing — avoid the sampling tax
-// and the convergence transient. At most one AdaptiveConfig may be given;
-// none selects the tuned defaults. Overrides WithCombining when both are
-// set. Composes with WithShards exactly as WithCombining does.
-func WithAdaptiveCombining(cfg ...AdaptiveConfig) Option {
-	return func(c *config) error {
-		if len(cfg) > 1 {
-			return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: at most one AdaptiveConfig, got %d", len(cfg))
-		}
-		c.adaptive = true
-		if len(cfg) == 1 {
-			a := cfg[0]
-			// Out-of-domain values error loudly rather than silently
-			// coercing to defaults — a controller running with tuning the
-			// caller did not ask for is worse than a construction error.
-			// The checks are phrased as !(in-range) so NaN (for which
-			// every ordered comparison is false, including the clamps
-			// further down) is rejected too.
-			if !(a.SmoothingAlpha >= 0 && a.SmoothingAlpha <= 1) {
-				return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: SmoothingAlpha %v outside (0, 1]", a.SmoothingAlpha)
-			}
-			if !(a.RetractRateDisable >= 0 && a.RetractRateDisable <= 1) {
-				return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: RetractRateDisable %v outside (0, 1] (it is compared against a rate)", a.RetractRateDisable)
-			}
-			if a.SampleEvery < 0 || a.MinDwellSamples < 0 {
-				return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: SampleEvery %d and MinDwellSamples %d must not be negative",
-					a.SampleEvery, a.MinDwellSamples)
-			}
-			if !(a.EnableThreshold >= 0) || !(a.DisableThreshold >= 0) ||
-				math.IsInf(a.EnableThreshold, 1) || math.IsInf(a.DisableThreshold, 1) {
-				return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: thresholds must be finite and non-negative")
-			}
-			// Validate the band against the EFFECTIVE values, so setting
-			// one threshold against the other's default errors just as
-			// loudly as setting both inconsistently.
-			en, dis := a.EnableThreshold, a.DisableThreshold
-			if en == 0 {
-				en = adapt.DefaultEnable
-			}
-			if dis == 0 {
-				dis = adapt.DefaultDisable
-			}
-			if dis >= en {
-				return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: DisableThreshold %v (default %v) must be below EnableThreshold %v (default %v)",
-					dis, adapt.DefaultDisable, en, adapt.DefaultEnable)
-			}
-			c.acfg = adapt.Config{
-				SampleEvery:    int64(a.SampleEvery),
-				Alpha:          a.SmoothingAlpha,
-				Enable:         a.EnableThreshold,
-				Disable:        a.DisableThreshold,
-				RetractDisable: a.RetractRateDisable,
-				MinDwell:       int64(a.MinDwellSamples),
-				StartCombining: a.StartCombining,
-			}
-		}
-		return nil
-	}
-}
-
-// WithPlacementHint pins each shard's publication machinery to the
-// publisher population owning its key range: owners[i] is the placement
-// group of shard i, and shards sharing a group carve their combining
-// publication slots from one contiguous arena and claim them with sticky
-// slot affinity — a shard's dominant publisher keeps reusing one warm
-// cache line between operations instead of rotating across the slot
-// array. The hint is OS-portable by construction: it shapes goroutine-to-
-// shard slot affinity and arena locality, never hard thread pinning, so
-// its benefit depends on the runtime actually keeping publisher
-// goroutines on stable Ps (it usually does under steady load; see
-// DESIGN.md §Multicore methodology for the caveat and measurements —
-// the MP1 experiment records the trajectory in BENCH_multicore.json).
-//
-// owners must have exactly one entry per shard (the WithShards value; 1
-// by default) with group ids in [0, shards). The identity hint
-// (owners[i] = i) declares every shard privately owned. Requires
-// WithCombining or WithAdaptiveCombining — placement shapes publication
-// slots, and without a combining layer there are none.
-func WithPlacementHint(owners []int) Option {
-	return func(c *config) error {
-		if len(owners) == 0 {
-			return fmt.Errorf("lockfreetrie: WithPlacementHint: empty hint (one group id per shard required)")
-		}
-		c.placement = append([]int(nil), owners...)
-		return nil
-	}
-}
-
-// validatePlacement checks the placement hint against the rest of the
-// resolved configuration.
-func (c *config) validatePlacement() error {
-	if c.placement == nil {
-		return nil
-	}
-	if !c.combining && !c.adaptive {
-		return fmt.Errorf("lockfreetrie: WithPlacementHint requires WithCombining or WithAdaptiveCombining (the hint shapes publication slots)")
-	}
-	if err := sharded.ValidatePlacement(c.placement, c.shards); err != nil {
-		return fmt.Errorf("lockfreetrie: WithPlacementHint: %w", err)
-	}
-	return nil
 }
 
 // set is the backend contract the exported API layers key validation and
@@ -349,12 +185,11 @@ type Trie struct {
 
 // newSharded builds the k-shard table carrying the configured options.
 func (c *config) newSharded(universe int64, k int) (*sharded.Trie, error) {
-	o := sharded.Options{Combining: c.combining, Placement: c.placement}
-	if c.adaptive {
-		acfg := c.acfg
-		o.Adaptive = &acfg
+	mk := sharded.New
+	if c.combining {
+		mk = sharded.NewCombining
 	}
-	t, err := sharded.NewWithOptions(universe, k, o)
+	t, err := mk(universe, k)
 	if err != nil {
 		return nil, err
 	}
@@ -381,9 +216,6 @@ func New(universe int64, opts ...Option) (*Trie, error) {
 		if err := opt(&cfg); err != nil {
 			return nil, err
 		}
-	}
-	if err := cfg.validatePlacement(); err != nil {
-		return nil, err
 	}
 	if err := cfg.validateObservability(); err != nil {
 		return nil, err
@@ -414,27 +246,14 @@ func New(universe int64, opts ...Option) (*Trie, error) {
 	return t, nil
 }
 
-// PlacementHint returns a copy of the WithPlacementHint owners slice, or
-// nil when the trie is unplaced.
-func (t *Trie) PlacementHint() []int { return t.st.Placement() }
-
 // Universe returns the padded universe size 2^⌈log₂ u⌉.
 func (t *Trie) Universe() int64 { return t.st.U() }
 
 // Shards returns the configured shard count (1 for the unsharded trie).
 func (t *Trie) Shards() int { return t.st.Shards() }
 
-// Combining reports whether the trie has a combining layer (WithCombining
-// or WithAdaptiveCombining).
+// Combining reports whether the trie has a combining layer (WithCombining).
 func (t *Trie) Combining() bool { return t.st.Combining() }
-
-// AdaptiveCombining reports whether WithAdaptiveCombining was set.
-func (t *Trie) AdaptiveCombining() bool { return t.st.Adaptive() }
-
-// AdaptiveStats returns the cumulative mode-transition counts summed over
-// all shards: enables (direct→combining flips) and disables (the
-// reverse). Zeros unless WithAdaptiveCombining was set.
-func (t *Trie) AdaptiveStats() (enables, disables int64) { return t.st.AdaptiveStats() }
 
 // Len returns the number of keys currently in the set. O(shards): it sums
 // the per-shard occupancy summary (one counter on the unsharded trie).

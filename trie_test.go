@@ -312,7 +312,7 @@ func TestRelaxedLenFacade(t *testing.T) {
 }
 
 // TestNewRelaxedRejectsOptions: the relaxed trie is one unsharded §4 trie,
-// so every option that would shard, combine, place or log it is an error
+// so every option that would shard, combine or log it is an error
 // naming the option, while the options that still apply are accepted.
 func TestNewRelaxedRejectsOptions(t *testing.T) {
 	cases := []struct {
@@ -321,8 +321,6 @@ func TestNewRelaxedRejectsOptions(t *testing.T) {
 	}{
 		{lockfreetrie.WithShards(4), "WithShards(4)"},
 		{lockfreetrie.WithCombining(), "WithCombining"},
-		{lockfreetrie.WithAdaptiveCombining(), "WithAdaptiveCombining"},
-		{lockfreetrie.WithPlacementHint([]int{0}), "WithPlacementHint"},
 		{lockfreetrie.WithDurability(t.TempDir()), "WithDurability"},
 	}
 	for _, tc := range cases {
