@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adapt"
 	"repro/internal/bitstrie"
 	"repro/internal/combine"
 	"repro/internal/core"
@@ -533,6 +534,40 @@ func BenchmarkCombiningUpdates(b *testing.B) {
 				mk = sharded.NewCombining
 			}
 			s, err := mk(u, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prefillEvery(s, u, 4)
+			runParallelOps(b, 8, func(id int, rng *rand.Rand) {
+				k := rng.Int63n(u)
+				if rng.Intn(2) == 0 {
+					s.Insert(k)
+				} else {
+					s.Delete(k)
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkAdaptiveUpdates measures the adaptive mode word's cost on the
+// update path against both static modes, on one clustered shard (8
+// goroutines, one combiner catchment — the regime the controller should
+// converge into combining on) — the triebench AD1 sweep measures both
+// regimes with fixed op budgets.
+func BenchmarkAdaptiveUpdates(b *testing.B) {
+	const u = int64(1 << 14)
+	makers := []struct {
+		name string
+		mk   func() (*sharded.Trie, error)
+	}{
+		{"direct", func() (*sharded.Trie, error) { return sharded.New(u, 1) }},
+		{"combining", func() (*sharded.Trie, error) { return sharded.NewCombining(u, 1) }},
+		{"adaptive", func() (*sharded.Trie, error) { return sharded.NewAdaptive(u, 1, adapt.Config{}) }},
+	}
+	for _, m := range makers {
+		b.Run(m.name, func(b *testing.B) {
+			s, err := m.mk()
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,7 +11,7 @@ import (
 func testInvocation() invocation {
 	return invocation{
 		ops: 1000, workers: 1, seed: 1, shards: 16,
-		combineReps: 1, cacheReps: 1,
+		combineReps: 1, adaptiveReps: 1, cacheReps: 1,
 	}
 }
 

@@ -134,8 +134,8 @@ func TestDurableMetrics(t *testing.T) {
 	}
 
 	// The layer gauges read the backend, not the write-ahead wrapper in
-	// front of it: a durable trie reports its EBR epoch and its combiner
-	// counters exactly as an in-memory one does.
+	// front of it: a durable trie reports its EBR epoch, its combiner
+	// counters and its adaptive flips exactly as an in-memory one does.
 	comb, err := lockfreetrie.New(1<<12, lockfreetrie.WithCombining(),
 		lockfreetrie.WithDurability(t.TempDir(), lockfreetrie.WithSyncEvery(1024)))
 	if err != nil {
@@ -153,6 +153,27 @@ func TestDurableMetrics(t *testing.T) {
 	}
 	if c["ebr.epoch"] == 0 {
 		t.Errorf("durable ebr.epoch = 0 after %d insert/delete pairs", pairs)
+	}
+	ad, err := lockfreetrie.New(1<<12,
+		lockfreetrie.WithAdaptiveCombining(lockfreetrie.AdaptiveConfig{
+			SampleEvery: 16, MinDwellSamples: 3, StartCombining: true,
+			EnableThreshold: 2.5, DisableThreshold: 1.4, SmoothingAlpha: 0.5,
+		}),
+		lockfreetrie.WithDurability(t.TempDir(), lockfreetrie.WithSyncEvery(1024)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ad.Close()
+	// A solo publisher starting in combining mode is flipped to direct
+	// within the dwell bound (TestAdaptiveSoloPublisherDisables).
+	for k := int64(0); k < 256; k++ {
+		ad.Insert(k)
+	}
+	if _, d := ad.AdaptiveStats(); d == 0 {
+		t.Error("durable AdaptiveStats reports no disable after a solo publisher's burst")
+	}
+	if d := ad.MetricsSnapshot().Counters["adaptive.disables"]; d == 0 {
+		t.Error("durable adaptive.disables = 0 after a solo publisher's burst")
 	}
 }
 

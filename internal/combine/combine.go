@@ -53,6 +53,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/adapt"
 	"repro/internal/atomicx"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -124,20 +125,21 @@ type Stats struct {
 	// MaxBatch is the largest round drained so far (monotone).
 	MaxBatch atomicx.PadInt64
 	// Retracts counts the retraction subset of Direct: published ops that
-	// outwaited a busy combiner and escaped to the per-op path — direct
-	// evidence that the handoff is hurting.
+	// outwaited a busy combiner and escaped to the per-op path — the
+	// adaptive controller's direct evidence that the handoff is hurting.
 	Retracts atomicx.PadInt64
 	// ElectFails counts SUBMISSIONS whose first combiner-election CAS
-	// failed: each one proves a concurrent publisher held the round word.
-	// Once per submission, not per wait beat: a single publisher parked
-	// behind a long round would otherwise register dozens of "failures"
-	// and read as clustering it does not prove.
+	// failed: each one proves a concurrent publisher held the round word
+	// — the adaptive controller's clustering signal. Once per
+	// submission, not per wait beat: a single publisher parked behind a
+	// long round would otherwise register dozens of "failures" and read
+	// as clustering it does not prove.
 	ElectFails atomicx.PadInt64
 }
 
 // Counters is a point-in-time snapshot of every combiner counter — the
 // one shape every consumer (sharded.CombineStats, the facade's combine.*
-// gauges, triebench) reads.
+// gauges, triebench, the adaptive controller's Sampler) reads.
 type Counters struct {
 	Rounds, Batched, Direct, MaxBatch, Retracts, ElectFails int64
 }
@@ -179,8 +181,9 @@ var testHookMidRound func()
 
 // SetTestHookMidRound installs f to run inside every combining round,
 // after the round's slots are taken and before the batch applies (nil
-// uninstalls). Test-only: the sharded conformance and linearizability
-// suites use it to yield the processor inside the widest round window.
+// uninstalls). Test-only: the sharded and facade mid-flip stress suites
+// use it to toggle the adaptive mode word inside the widest round window,
+// and the sharded suites' combining rows to yield the processor there.
 // Install before starting workload goroutines and uninstall after joining
 // them.
 func SetTestHookMidRound(f func()) { testHookMidRound = f }
@@ -228,7 +231,8 @@ func New(n int, apply func(ops []Op), applyOne func(op Op)) *Combiner {
 }
 
 // Counters returns a snapshot of every counter (each individually atomic;
-// the set is not a consistent cut).
+// the set is not a consistent cut, which the EWMA-smoothing consumer
+// tolerates by construction).
 func (c *Combiner) Counters() Counters {
 	return Counters{
 		Rounds:     c.stats.Rounds.Load(),
@@ -237,6 +241,27 @@ func (c *Combiner) Counters() Counters {
 		MaxBatch:   c.stats.MaxBatch.Load(),
 		Retracts:   c.stats.Retracts.Load(),
 		ElectFails: c.stats.ElectFails.Load(),
+	}
+}
+
+// Sampler builds the adapt signal reader of one adaptive shard: the
+// combiner counters always ride along, while annLen and pending — the
+// direct-mode clustering signals — are read only when sampling in direct
+// mode (in combining mode the estimate comes from the counter deltas, and
+// the reads would perturb the rounds being measured; see
+// adapt.Controller).
+func Sampler(c *Combiner, annLen, pending func() int64) func(combining bool) adapt.Sample {
+	return func(combining bool) adapt.Sample {
+		cs := c.Counters()
+		s := adapt.Sample{
+			Rounds: cs.Rounds, Batched: cs.Batched,
+			Retracts: cs.Retracts, ElectFails: cs.ElectFails,
+		}
+		if !combining {
+			s.AnnLen = annLen()
+			s.Pending = pending()
+		}
+		return s
 	}
 }
 
@@ -369,8 +394,8 @@ func (c *Combiner) runRound() {
 	// Elections happen once per round — far too hot to trace unsampled
 	// (a clustered mix runs a round every ~7 ops), so one round in
 	// ElectEventEvery carries the trace, with the batch size as its
-	// signal value. Retractions stay unsampled; they are rare and
-	// individually meaningful.
+	// signal value. Retractions and the adaptive events stay
+	// unsampled; they are rare and individually meaningful.
 	if c.events != nil && rounds%obs.ElectEventEvery == 0 {
 		c.events.Publish(obs.KindCombinerElect, c.evShard, int64(len(c.taken)), rounds)
 	}

@@ -2,10 +2,10 @@ package lincheck
 
 import (
 	"math/bits"
-	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/adapt"
 	"repro/internal/combine"
 	"repro/internal/core"
 	"repro/internal/sharded"
@@ -118,16 +118,16 @@ func FuzzCheckMatchesBruteForce(f *testing.F) {
 	})
 }
 
-// fuzzWorkerScript replays one worker's byte script against a sharded
-// trie, recording every operation. Each action consumes two bytes: a
-// discriminator and a key (masked to the checker's 64-key universe).
-// Batches consume two extra key bytes and record each submitted op —
-// including any a same-key later op supersedes — over the whole
-// ApplyBatch window: the facade contract linearizes a superseded op
+// fuzzWorkerScript replays one worker's byte script against an adaptive
+// sharded trie, recording every operation. Each action consumes two
+// bytes: a discriminator and a key (masked to the checker's 64-key
+// universe). Batches consume two extra key bytes and record each
+// submitted op — including any a same-key later op supersedes — over the
+// whole ApplyBatch window: the facade contract linearizes a superseded op
 // immediately before its superseder, which lies inside that window, so a
-// valid witness always exists iff the batch behaved correctly. Yield
-// actions hand the processor over, landing the other worker's rounds and
-// batches at arbitrary points of this one's script.
+// valid witness always exists iff the batch behaved correctly. Mode-flip
+// actions force a shard's publication mode directly, landing at arbitrary
+// points of the other worker's rounds.
 func fuzzWorkerScript(tr *sharded.Trie, rec *Recorder, script []byte) {
 	for i := 0; i+1 < len(script); i += 2 {
 		b, key := script[i], int64(script[i+1]&63)
@@ -170,32 +170,29 @@ func fuzzWorkerScript(tr *sharded.Trie, rec *Recorder, script []byte) {
 				}
 				rec.End(kind, op.Key, 0, inv)
 			}
-		case 5: // yield, mid-whatever the peer is doing
-			runtime.Gosched()
+		case 5: // force-flip a shard's mode, mid-whatever the peer is doing
+			tr.ShardController(int(key) % tr.Shards()).ForceMode(b&8 != 0)
 		}
 	}
 }
 
-// FuzzShardedMixedHistories drives TWO workers' fuzz-decoded scripts —
-// per-op updates, queries, ApplyBatch calls and yields — against a live
-// sharded trie, per-op (sharded.New) or combining (sharded.NewCombining)
-// as the bool picks, and requires the recorded history to linearize.
-// This is the checker checking the structure, complementing
+// FuzzAdaptiveMixedHistories drives TWO workers' fuzz-decoded scripts —
+// per-op updates, queries, ApplyBatch calls and random forced mode flips
+// — against a live adaptive sharded trie (aggressive controller, so
+// organic flips churn too) and requires the recorded history to
+// linearize. This is the checker checking the structure, complementing
 // FuzzCheckMatchesBruteForce (the checker checking itself).
-func FuzzShardedMixedHistories(f *testing.F) {
+func FuzzAdaptiveMixedHistories(f *testing.F) {
 	f.Add(true, []byte{0, 5, 1, 5, 2, 5, 3, 9})                     // ins/del/search/pred on one key
 	f.Add(false, []byte{4, 0, 7, 7, 28, 0, 7, 7, 2, 7})             // insert batch, delete batch, search
-	f.Add(true, []byte{5, 1, 0, 63, 13, 0, 63, 63, 3, 63, 5, 2})    // yield, ins, mixed batch, pred, yield
+	f.Add(true, []byte{5, 1, 0, 63, 13, 0, 63, 63, 3, 63, 5, 2})    // flip, ins, mixed batch, pred, flip
 	f.Add(false, []byte{0, 16, 41, 3, 16, 17, 1, 16, 2, 17, 2, 16}) // cross-shard batch vs per-op churn
-	f.Fuzz(func(t *testing.T, combining bool, data []byte) {
+	f.Fuzz(func(t *testing.T, startCombining bool, data []byte) {
 		if len(data) < 2 || len(data) > 40 {
 			return // keep the WGL search cheap
 		}
-		mk := sharded.New
-		if combining {
-			mk = sharded.NewCombining
-		}
-		tr, err := mk(64, 4)
+		tr, err := sharded.NewAdaptive(64, 4,
+			adapt.Config{SampleEvery: 4, MinDwell: 1, StartCombining: startCombining})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +215,7 @@ func FuzzShardedMixedHistories(f *testing.F) {
 			t.Fatalf("checker error: %v", err)
 		}
 		if !ok {
-			t.Fatalf("sharded history not linearizable (combining=%v): %s", combining, msg)
+			t.Fatalf("adaptive history not linearizable: %s", msg)
 		}
 	})
 }

@@ -2,8 +2,8 @@
 // metrics registry (striped padded counters, gauges over the existing
 // per-subsystem Stats structs, log-bucketed latency histograms) behind
 // one named, versioned Snapshot/Delta schema, plus a bounded lock-free
-// event ring tracing the control planes (EBR epoch advances, combiner
-// elections and retractions).
+// event ring tracing the control planes (adaptive combining flips, EBR
+// epoch advances, combiner elections and retractions).
 //
 // Design constraints, in order:
 //
@@ -13,7 +13,8 @@
 //     writes through per-slot seqlocks (a handful of atomic stores).
 //   - Snapshots are weakly consistent: each counter read is individually
 //     atomic, but the set is not a consistent cut — the same contract as
-//     every existing Stats struct (combine.Counters documents it).
+//     every existing Stats struct (combine.Counters documents it; the
+//     EWMA consumers tolerate it by construction).
 //   - Registration is cold-path only (mutex-guarded maps); hot paths
 //     hold *Counter / *Histogram directly and never touch the registry.
 package obs

@@ -10,7 +10,7 @@ import (
 func TestRingPublishDrain(t *testing.T) {
 	r := NewRing(8)
 	r.Publish(KindEpochAdvance, 3, 7)
-	r.Publish(KindCombinerElect, 1, 10, 20, 30)
+	r.Publish(KindAdaptiveEnable, 1, 1, 2, 10, 20)
 	evs := r.Drain()
 	if len(evs) != 2 {
 		t.Fatalf("Drain returned %d events, want 2", len(evs))
@@ -18,10 +18,10 @@ func TestRingPublishDrain(t *testing.T) {
 	if evs[0].Kind != KindEpochAdvance || evs[0].Shard != 3 || evs[0].Args[0] != 7 {
 		t.Fatalf("event 0 = %+v", evs[0])
 	}
-	if evs[1].Kind != KindCombinerElect || evs[1].Shard != 1 {
+	if evs[1].Kind != KindAdaptiveEnable || evs[1].Shard != 1 {
 		t.Fatalf("event 1 = %+v", evs[1])
 	}
-	want := [EventArgs]int64{10, 20} // the arg beyond EventArgs is dropped
+	want := [EventArgs]int64{1, 2, 10, 20}
 	if evs[1].Args != want {
 		t.Fatalf("event 1 args = %v, want %v", evs[1].Args, want)
 	}
@@ -74,8 +74,7 @@ func TestRingNilSafe(t *testing.T) {
 //     sequence word — every ticket is surfaced exactly once, as an event
 //     or as a drop);
 //  2. integrity: no torn payload survives validation (each event carries
-//     a writer/value/checksum triple — the writer in Shard, the other two
-//     in Args — that must be internally consistent);
+//     a writer/value/checksum triple that must be internally consistent);
 //  3. order: drained events arrive in strictly increasing Seq order.
 func TestRingStress(t *testing.T) {
 	const (
@@ -96,7 +95,7 @@ func TestRingStress(t *testing.T) {
 					t.Errorf("seq %d not above previous %d", e.Seq, lastSeq)
 				}
 				lastSeq = int64(e.Seq)
-				if int64(e.Shard)^e.Args[0] != e.Args[1] {
+				if e.Args[0]^e.Args[1] != e.Args[2] {
 					t.Errorf("torn event survived validation: %+v", e)
 				}
 				drained++
@@ -117,7 +116,7 @@ func TestRingStress(t *testing.T) {
 		go func(id int64) {
 			defer wg.Done()
 			for i := int64(0); i < perW; i++ {
-				r.Publish(KindCombinerElect, int32(id), i, id^i)
+				r.Publish(KindCombinerElect, int32(id), id, i, id^i)
 			}
 		}(int64(w))
 	}
@@ -165,7 +164,7 @@ func TestRingLappingWriterCannotTearDrain(t *testing.T) {
 	aDone := make(chan struct{})
 	go func() {
 		defer close(aDone)
-		r.Publish(KindEpochAdvance, 1, 11, 11)
+		r.Publish(KindEpochAdvance, 1, 11, 11, 11, 11)
 	}()
 	<-aParked
 	drained := make(chan []Event)
@@ -177,7 +176,7 @@ func TestRingLappingWriterCannotTearDrain(t *testing.T) {
 	bDone := make(chan struct{})
 	go func() {
 		defer close(bDone)
-		r.Publish(KindCombinerElect, 2, 22, 22)
+		r.Publish(KindCombinerElect, 2, 22, 22, 22, 22)
 	}()
 	// B either skips its stores (the slot is in flight) and returns, or
 	// gets into the slot and parks after its first payload store.
@@ -193,7 +192,7 @@ func TestRingLappingWriterCannotTearDrain(t *testing.T) {
 	<-bDone
 	r.midPublish, r.drainBound = nil, nil
 
-	want := Event{Seq: ticketA, Kind: KindEpochAdvance, Shard: 1, Args: [EventArgs]int64{11, 11}}
+	want := Event{Seq: ticketA, Kind: KindEpochAdvance, Shard: 1, Args: [EventArgs]int64{11, 11, 11, 11}}
 	if len(evs) != 1 {
 		t.Fatalf("drain returned %d events, want writer A's one: %+v", len(evs), evs)
 	}

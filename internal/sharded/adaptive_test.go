@@ -44,8 +44,8 @@ func TestAdaptiveDeterministicRouting(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		tr.Insert(i)
 	}
-	if _, batched, direct, _ := tr.CombineStats(); batched+direct != 0 {
-		t.Fatalf("direct-mode ops reached the combiner: batched %d, direct %d", batched, direct)
+	if cs := tr.CombineStats(); cs.Batched+cs.Direct != 0 {
+		t.Fatalf("direct-mode ops reached the combiner: batched %d, direct %d", cs.Batched, cs.Direct)
 	}
 
 	// Inject clustering evidence: two visible peers per sample walk the
@@ -74,7 +74,7 @@ func TestAdaptiveDeterministicRouting(t *testing.T) {
 			tr.Delete(i % 64)
 		}
 	}
-	if _, batched, _, _ := tr.CombineStats(); batched == 0 {
+	if tr.CombineStats().Batched == 0 {
 		t.Fatal("enabled shard drained no ops through rounds")
 	}
 	if tr.ShardCombining(0) {

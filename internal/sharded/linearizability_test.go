@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/combine"
@@ -100,6 +101,33 @@ func forEachShardCount(t *testing.T, name string, fn func(t *testing.T, k int, m
 		k := k
 		t.Run(fmt.Sprintf("%s/shards=%d", name, k), func(t *testing.T) {
 			fn(t, k, sharded.New)
+		})
+		// The adaptive variant records the same histories while per-shard
+		// modes flip underneath: organically (aggressive controller,
+		// combining at start) and forcibly inside every combining round
+		// via the mid-round hook — the combiner-drain handoff on disable
+		// included, since a forced off-flip mid-round leaves the round to
+		// finish while new ops go direct.
+		t.Run(fmt.Sprintf("%s/shards=%d/adaptive", name, k), func(t *testing.T) {
+			var cur atomic.Pointer[sharded.Trie]
+			var n atomic.Int64
+			combine.SetTestHookMidRound(func() {
+				if tr := cur.Load(); tr != nil {
+					i := n.Add(1)
+					tr.ShardController(int(i) % k).ForceMode(i%3 != 0)
+				}
+			})
+			t.Cleanup(func() { combine.SetTestHookMidRound(nil) })
+			fn(t, k, func(u int64, kk int) (*sharded.Trie, error) {
+				cfg := aggressiveCfg()
+				cfg.StartCombining = true
+				tr, err := sharded.NewAdaptive(u, kk, cfg)
+				if err != nil {
+					return nil, err
+				}
+				cur.Store(tr)
+				return tr, nil
+			})
 		})
 		// The combining variant records the same histories with every
 		// round yielding the processor between taking its slots and

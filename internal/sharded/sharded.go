@@ -33,6 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/adapt"
 	"repro/internal/combine"
 	"repro/internal/core"
 )
@@ -53,16 +54,19 @@ const MaxShards = 1 << 16
 var ScanRetries = 64
 
 // shard is one partition: an independent core trie plus its occupancy
-// summary and (with NewCombining) its flat-combining publication slots.
-// Padded to 128 bytes (two cache lines, clear of the adjacent-line
-// prefetcher) so neighbouring shards' counters never false-share.
+// summary, (with NewCombining or NewAdaptive) its flat-combining
+// publication slots, and (with NewAdaptive) the controller that flips its
+// publication mode at runtime. Padded to 128 bytes (two cache lines,
+// clear of the adjacent-line prefetcher) so neighbouring shards' counters
+// never false-share.
 type shard struct {
 	trie    *core.Trie
 	count   atomic.Int64 // cardinality over-approximation (≥ |S ∩ shard|)
 	pending atomic.Int64 // in-flight updates
 	version atomic.Int64 // completed winning updates
 	comb    *combine.Combiner
-	_       [88]byte
+	ctl     *adapt.Controller
+	_       [80]byte
 }
 
 // max returns the largest key in the shard (local coordinates), or −1. Two
@@ -106,7 +110,7 @@ func geometry(u int64, k int) (pu, width int64, shardBits uint, err error) {
 // next power of two) split into k contiguous shards. k must be a power of
 // two with 1 ≤ k ≤ min(MaxShards, paddedU/2), so every shard spans at least
 // two keys.
-func New(u int64, k int) (*Trie, error) { return newTrie(u, k, false) }
+func New(u int64, k int) (*Trie, error) { return newTrie(u, k, false, nil) }
 
 // NewCombining is New with per-shard flat combining enabled: every shard
 // gets a combine.Combiner (default slot count) and Insert/Delete publish
@@ -114,9 +118,23 @@ func New(u int64, k int) (*Trie, error) { return newTrie(u, k, false) }
 // concurrent same-shard updates are drained into single core.ApplyBatch
 // calls that announce once per batch (DESIGN.md §Combining layer). Reads
 // and ApplyBatch are identical in both modes.
-func NewCombining(u int64, k int) (*Trie, error) { return newTrie(u, k, true) }
+func NewCombining(u int64, k int) (*Trie, error) { return newTrie(u, k, true, nil) }
 
-func newTrie(u int64, k int, combining bool) (*Trie, error) {
+// NewAdaptive is NewCombining with the construction-time decision moved to
+// runtime: every shard gets a combiner AND an adapt.Controller, and each
+// Insert/Delete routes on the owning shard's current mode word — direct
+// per-op publication until that shard's contention signals (announcement
+// length, in-flight updates, drained batch sizes, election contention,
+// retraction pressure) say combining would amortize, and back again with
+// hysteresis when batches degenerate (DESIGN.md §Adaptive combining).
+// cfg's zero fields take the tuned defaults.
+func NewAdaptive(u int64, k int, cfg adapt.Config) (*Trie, error) {
+	return newTrie(u, k, true, &cfg)
+}
+
+// newTrie builds the shards: combining adds a combiner per shard, and a
+// non-nil acfg (NewAdaptive) a controller over it.
+func newTrie(u int64, k int, combining bool, acfg *adapt.Config) (*Trie, error) {
 	pu, width, shardBits, err := geometry(u, k)
 	if err != nil {
 		return nil, err
@@ -145,6 +163,11 @@ func newTrie(u int64, k int, combining bool) (*Trie, error) {
 						t.insertDirect(sh, op.Key)
 					}
 				})
+			if acfg != nil {
+				sh.ctl = adapt.New(*acfg, combine.Sampler(sh.comb,
+					func() int64 { return int64(sh.trie.AnnouncedUpdates()) },
+					sh.pending.Load))
+			}
 		}
 	}
 	return t, nil
@@ -200,6 +223,15 @@ func (t *Trie) Search(x int64) bool {
 // Precondition: 0 ≤ x < U().
 func (t *Trie) Insert(x int64) {
 	sh, lx := t.home(x)
+	if sh.ctl != nil {
+		sh.ctl.Tick()
+		if sh.ctl.Combining() {
+			sh.comb.Submit(combine.Op{Key: lx})
+			return
+		}
+		t.insertDirect(sh, lx)
+		return
+	}
 	if sh.comb != nil {
 		sh.comb.Submit(combine.Op{Key: lx})
 		return
@@ -225,6 +257,15 @@ func (t *Trie) insertDirect(sh *shard, lx int64) {
 // Precondition: 0 ≤ x < U().
 func (t *Trie) Delete(x int64) {
 	sh, lx := t.home(x)
+	if sh.ctl != nil {
+		sh.ctl.Tick()
+		if sh.ctl.Combining() {
+			sh.comb.Submit(combine.Op{Key: lx, Del: true})
+			return
+		}
+		t.deleteDirect(sh, lx)
+		return
+	}
 	if sh.comb != nil {
 		sh.comb.Submit(combine.Op{Key: lx, Del: true})
 		return
@@ -294,13 +335,47 @@ func (t *Trie) ApplyBatch(ops []core.BatchOp) {
 	}
 }
 
-// Combining reports whether this trie has a per-shard combining layer
-// (NewCombining).
+// Combining reports whether this trie HAS a per-shard combining layer
+// (NewCombining and NewAdaptive both do; under NewAdaptive whether a
+// given update publishes through it is the owning shard's live mode —
+// see ShardCombining).
 func (t *Trie) Combining() bool { return t.shards[0].comb != nil }
+
+// Adaptive reports whether per-shard controllers drive the publication
+// mode at runtime.
+func (t *Trie) Adaptive() bool { return t.shards[0].ctl != nil }
+
+// ShardCombining reports shard i's current publication mode (always true
+// under NewCombining, always false under New).
+func (t *Trie) ShardCombining(i int) bool {
+	sh := &t.shards[i]
+	if sh.ctl != nil {
+		return sh.ctl.Combining()
+	}
+	return sh.comb != nil
+}
+
+// ShardController returns shard i's adaptive controller, or nil (tests,
+// stats).
+func (t *Trie) ShardController(i int) *adapt.Controller { return t.shards[i].ctl }
 
 // ShardCombiner returns shard i's combiner, or nil when combining is
 // disabled (observability wiring, tests).
 func (t *Trie) ShardCombiner(i int) *combine.Combiner { return t.shards[i].comb }
+
+// AdaptiveStats sums the per-shard mode-transition counters (zeros when
+// the trie is not adaptive): cumulative direct→combining enables and
+// combining→direct disables across all shards.
+func (t *Trie) AdaptiveStats() (enables, disables int64) {
+	for i := range t.shards {
+		if c := t.shards[i].ctl; c != nil {
+			e, d := c.Transitions()
+			enables += e
+			disables += d
+		}
+	}
+	return enables, disables
+}
 
 // CombineStats sums the per-shard combiner counters (zeros when combining
 // is disabled); MaxBatch is the largest single round on any shard.

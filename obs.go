@@ -143,9 +143,9 @@ func newObsState(cfg *config) *obsState {
 
 // instrumentSharded wires every shard of one sharded table: the shared
 // core and descent Stats structs, the EBR trace, and — where the
-// configuration built them — the per-shard combiner traces. Must run
-// before the table sees concurrent use (the attach points are plain
-// stores): New instruments the table while it is still private.
+// configuration built them — the per-shard combiner and adaptive-controller
+// traces. Must run before the table sees concurrent use (the attach points
+// are plain stores): New instruments the table while it is still private.
 func (o *obsState) instrumentSharded(t *sharded.Trie) {
 	for i := 0; i < t.Shards(); i++ {
 		c := t.Shard(i)
@@ -156,6 +156,9 @@ func (o *obsState) instrumentSharded(t *sharded.Trie) {
 		c.Reclaimer().SetEvents(o.ring, int32(i))
 		if comb := t.ShardCombiner(i); comb != nil {
 			comb.SetEvents(o.ring, int32(i))
+		}
+		if ctl := t.ShardController(i); ctl != nil {
+			ctl.SetEvents(o.ring, int32(i))
 		}
 	}
 }
@@ -205,6 +208,10 @@ func (t *Trie) registerObsGauges() {
 		r.Gauge("combine.retracts", func() int64 { return t.st.CombineStats().Retracts })
 		r.Gauge("combine.elect_fails", func() int64 { return t.st.CombineStats().ElectFails })
 	}
+	if t.st.Adaptive() {
+		r.Gauge("adaptive.enables", func() int64 { e, _ := t.AdaptiveStats(); return e })
+		r.Gauge("adaptive.disables", func() int64 { _, d := t.AdaptiveStats(); return d })
+	}
 
 	// Reclamation: the highest domain epoch across the shards (each shard
 	// owns an EBR domain; the max tracks overall reclamation progress).
@@ -234,7 +241,7 @@ func (t *Trie) registerObsGauges() {
 // MetricsSnapshot returns a timestamped reading of every metric the trie
 // maintains, under the versioned repro.trie schema: ops.* operation
 // counters, latency.*_ns sampled histograms, and the per-subsystem gauges
-// (core.*, bits.*, combine.*, ebr.*, trie.*, events.*).
+// (core.*, bits.*, combine.*, adaptive.*, ebr.*, trie.*, events.*).
 // Weakly consistent — each value is one atomic read, the set is not a
 // consistent cut. Rate a window with Snapshot.Delta; serve it with
 // internal/obs/export. Empty (schema header only) under
@@ -262,9 +269,9 @@ func (t *Trie) MetricsSnapshot() obs.Snapshot {
 
 // TraceEvent is one drained control-plane event, decoded for consumers:
 // Kind is the event name, Shard the shard it concerns, and Values the
-// kind-specific named readings — the new epoch of an EBR advance, the
-// drained batch of a combiner election, and so on (see internal/obs for
-// the layouts).
+// kind-specific named readings — the triggering signal values of an
+// adaptive flip, the drained batch of a combiner election, and so on (see
+// internal/obs for the layouts).
 type TraceEvent struct {
 	// Seq is the ring ticket: strictly increasing in publication order;
 	// gaps mark events overwritten before they were drained.
@@ -280,12 +287,15 @@ type TraceEvent struct {
 // traceArgNames maps each event kind to the names of its arguments, in
 // obs arg order. Kinds absent here surface their raw args as arg0….
 var traceArgNames = map[obs.Kind][]string{
+	obs.KindAdaptiveEnable:  {"ewma_milli", "throughput_fired", "throughput_ops", "direct_peak_ops"},
+	obs.KindAdaptiveDisable: {"ewma_milli", "retract_rate_milli", "rounds", "retracts"},
 	obs.KindEpochAdvance:    {"epoch"},
 	obs.KindCombinerElect:   {"batch", "rounds"},
 	obs.KindCombinerRetract: {"wait_beats"},
 }
 
-// Events drains the control-plane trace ring: EBR epoch advances, sampled
+// Events drains the control-plane trace ring: adaptive-combining flips
+// with the signal values that triggered them, EBR epoch advances, sampled
 // combiner elections, and retractions. Each event is returned exactly once
 // across all Events calls; when the bounded ring wraps before a drain,
 // the OLDEST undrained events are dropped (counted in the

@@ -18,8 +18,8 @@ type Relaxed struct {
 
 // NewRelaxed returns an empty relaxed trie over {0,…,universe−1} (same
 // bounds as New). It is always the paper's single unsharded §4 trie:
-// WithShards(k) with k > 1, WithCombining and WithDurability return an
-// error naming the option.
+// WithShards(k) with k > 1, WithCombining, WithAdaptiveCombining and
+// WithDurability return an error naming the option.
 // WithoutCompressedDescents applies; the observability options are
 // accepted and ignored.
 func NewRelaxed(universe int64, opts ...Option) (*Relaxed, error) {
@@ -35,6 +35,8 @@ func NewRelaxed(universe int64, opts ...Option) (*Relaxed, error) {
 		rejected = fmt.Sprintf("WithShards(%d)", cfg.shards)
 	case cfg.combining:
 		rejected = "WithCombining"
+	case cfg.adaptive:
+		rejected = "WithAdaptiveCombining"
 	case cfg.dur != nil:
 		return nil, fmt.Errorf("lockfreetrie: WithDurability is incompatible with NewRelaxed (no batch entrypoint to seed recovery through)")
 	}

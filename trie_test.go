@@ -321,6 +321,7 @@ func TestNewRelaxedRejectsOptions(t *testing.T) {
 	}{
 		{lockfreetrie.WithShards(4), "WithShards(4)"},
 		{lockfreetrie.WithCombining(), "WithCombining"},
+		{lockfreetrie.WithAdaptiveCombining(), "WithAdaptiveCombining"},
 		{lockfreetrie.WithDurability(t.TempDir()), "WithDurability"},
 	}
 	for _, tc := range cases {
