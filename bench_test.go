@@ -553,8 +553,7 @@ func BenchmarkCombiningUpdates(b *testing.B) {
 // BenchmarkAdaptiveUpdates measures the adaptive mode word's cost on the
 // update path against both static modes, on one clustered shard (8
 // goroutines, one combiner catchment — the regime the controller should
-// converge into combining on) — the triebench AD1 sweep measures both
-// regimes with fixed op budgets.
+// converge into combining on).
 func BenchmarkAdaptiveUpdates(b *testing.B) {
 	const u = int64(1 << 14)
 	makers := []struct {

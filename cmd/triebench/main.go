@@ -25,7 +25,6 @@ import (
 	"time"
 
 	lockfreetrie "repro"
-	"repro/internal/adapt"
 	"repro/internal/bitstrie"
 	"repro/internal/combine"
 	"repro/internal/core"
@@ -41,27 +40,25 @@ import (
 
 func main() {
 	var (
-		experiment   = flag.String("experiment", "all", "experiment id: c1,c2,c3,c4,c5,c6,c7,a1,a2,a3,s1,cb1,ad1,cc1,ob1,sv1,wl1, or all (the paper-claim sweeps c1–a2; s1, a3, cb1, ad1, cc1, ob1, sv1 and wl1 run only when named, since they rewrite their recorded trajectory artifacts; the combining experiment is cb1 because c1 is the paper's C1 Search-cost claim)")
-		ops          = flag.Int("ops", 100000, "operations per measurement")
-		workers      = flag.Int("workers", 4, "default worker count")
-		seed         = flag.Int64("seed", 1, "workload seed")
-		shards       = flag.Int("shards", 16, "high shard count for the s1 sharding sweep and the a3 sharded variant")
-		gomaxprocs   = flag.String("gomaxprocs", "", "comma-separated GOMAXPROCS sweep for the trajectory experiments (e.g. 1,4,8); empty keeps the current setting")
-		jsonPath     = flag.String("json", "BENCH_shards.json", "s1 trajectory output path (empty disables)")
-		allocsPath   = flag.String("allocsjson", "BENCH_allocs.json", "a3 trajectory output path (empty disables)")
-		combinePath  = flag.String("combinejson", "BENCH_combine.json", "cb1 trajectory output path (empty disables)")
-		combineReps  = flag.Int("cb1reps", cb1Reps, "cb1 repetitions per configuration (median reported; CI smoke uses 1)")
-		adaptivePath = flag.String("adaptivejson", "BENCH_adaptive.json", "ad1 trajectory output path (empty disables)")
-		adaptiveReps = flag.Int("ad1reps", ad1Reps, "ad1 repetitions per configuration (median reported; CI smoke uses 1)")
-		cachePath    = flag.String("cachejson", "BENCH_cache.json", "cc1 trajectory output path (empty disables)")
-		cacheReps    = flag.Int("cc1reps", cc1Reps, "cc1 repetitions per configuration (median reported; CI smoke uses 1)")
-		obsPath      = flag.String("obsjson", "BENCH_obs.json", "ob1 trajectory output path (empty disables)")
-		obsReps      = flag.Int("ob1reps", ob1Reps, "ob1 repetitions per configuration (median reported; CI smoke uses 1)")
-		serverPath   = flag.String("sv1json", "BENCH_sv1.json", "sv1 trajectory output path (empty disables)")
-		serverReps   = flag.Int("sv1reps", sv1Reps, "sv1 repetitions per configuration (median reported; CI smoke uses 1)")
-		serverDur    = flag.Duration("sv1dur", 1500*time.Millisecond, "sv1 open-loop measurement window per side per rep")
-		walPath      = flag.String("waljson", "BENCH_wal.json", "wl1 trajectory output path (empty disables)")
-		walReps      = flag.Int("wl1reps", wl1Reps, "wl1 repetitions per configuration (median reported; CI smoke uses 1)")
+		experiment  = flag.String("experiment", "all", "experiment id: c1,c2,c3,c4,c5,c6,c7,a1,a2,a3,s1,cb1,cc1,ob1,sv1,wl1, or all (the paper-claim sweeps c1–a2; s1, a3, cb1, cc1, ob1, sv1 and wl1 run only when named, since they rewrite their recorded trajectory artifacts; the combining experiment is cb1 because c1 is the paper's C1 Search-cost claim)")
+		ops         = flag.Int("ops", 100000, "operations per measurement")
+		workers     = flag.Int("workers", 4, "default worker count")
+		seed        = flag.Int64("seed", 1, "workload seed")
+		shards      = flag.Int("shards", 16, "high shard count for the s1 sharding sweep and the a3 sharded variant")
+		gomaxprocs  = flag.String("gomaxprocs", "", "comma-separated GOMAXPROCS sweep for the trajectory experiments (e.g. 1,4,8); empty keeps the current setting")
+		jsonPath    = flag.String("json", "BENCH_shards.json", "s1 trajectory output path (empty disables)")
+		allocsPath  = flag.String("allocsjson", "BENCH_allocs.json", "a3 trajectory output path (empty disables)")
+		combinePath = flag.String("combinejson", "BENCH_combine.json", "cb1 trajectory output path (empty disables)")
+		combineReps = flag.Int("cb1reps", cb1Reps, "cb1 repetitions per configuration (median reported; CI smoke uses 1)")
+		cachePath   = flag.String("cachejson", "BENCH_cache.json", "cc1 trajectory output path (empty disables)")
+		cacheReps   = flag.Int("cc1reps", cc1Reps, "cc1 repetitions per configuration (median reported; CI smoke uses 1)")
+		obsPath     = flag.String("obsjson", "BENCH_obs.json", "ob1 trajectory output path (empty disables)")
+		obsReps     = flag.Int("ob1reps", ob1Reps, "ob1 repetitions per configuration (median reported; CI smoke uses 1)")
+		serverPath  = flag.String("sv1json", "BENCH_sv1.json", "sv1 trajectory output path (empty disables)")
+		serverReps  = flag.Int("sv1reps", sv1Reps, "sv1 repetitions per configuration (median reported; CI smoke uses 1)")
+		serverDur   = flag.Duration("sv1dur", 1500*time.Millisecond, "sv1 open-loop measurement window per side per rep")
+		walPath     = flag.String("waljson", "BENCH_wal.json", "wl1 trajectory output path (empty disables)")
+		walReps     = flag.Int("wl1reps", wl1Reps, "wl1 repetitions per configuration (median reported; CI smoke uses 1)")
 	)
 	flag.Parse()
 	inv := invocation{
@@ -69,7 +66,6 @@ func main() {
 		gomaxprocs: *gomaxprocs,
 		jsonPath:   *jsonPath, allocsPath: *allocsPath,
 		combinePath: *combinePath, combineReps: *combineReps,
-		adaptivePath: *adaptivePath, adaptiveReps: *adaptiveReps,
 		cachePath: *cachePath, cacheReps: *cacheReps,
 		obsPath: *obsPath, obsReps: *obsReps,
 		serverPath: *serverPath, serverReps: *serverReps, serverDur: *serverDur,
@@ -92,22 +88,20 @@ type invocation struct {
 	// gomaxprocs is the raw -gomaxprocs value: a comma-separated list of
 	// GOMAXPROCS settings every trajectory experiment re-measures each of
 	// its configurations under. Empty means "the current setting only".
-	gomaxprocs   string
-	jsonPath     string
-	allocsPath   string
-	combinePath  string
-	combineReps  int
-	adaptivePath string
-	adaptiveReps int
-	cachePath    string
-	cacheReps    int
-	obsPath      string
-	obsReps      int
-	serverPath   string
-	serverReps   int
-	serverDur    time.Duration
-	walPath      string
-	walReps      int
+	gomaxprocs  string
+	jsonPath    string
+	allocsPath  string
+	combinePath string
+	combineReps int
+	cachePath   string
+	cacheReps   int
+	obsPath     string
+	obsReps     int
+	serverPath  string
+	serverReps  int
+	serverDur   time.Duration
+	walPath     string
+	walReps     int
 }
 
 // procs resolves the -gomaxprocs sweep; empty means the current setting.
@@ -191,7 +185,7 @@ func perP(procs []int, f func(p int) error) error {
 // nothing).
 func experimentIDs() []string {
 	return []string{"c1", "c2", "c3", "c4", "c5", "c6", "c7",
-		"a1", "a2", "a3", "s1", "cb1", "ad1", "cc1", "ob1", "sv1", "wl1", "all"}
+		"a1", "a2", "a3", "s1", "cb1", "cc1", "ob1", "sv1", "wl1", "all"}
 }
 
 // runnersFor binds the experiment table to this invocation's artifact
@@ -208,7 +202,6 @@ func runnersFor(inv invocation) map[string]func() error {
 		"s1":  func() error { return expS1(inv) },
 		"a3":  func() error { return expA3(inv) },
 		"cb1": func() error { return expCB1(inv) },
-		"ad1": func() error { return expAD1(inv) },
 		"cc1": func() error { return expCC1(inv) },
 		"ob1": func() error { return expOB1(inv) },
 		"sv1": func() error { return expSV1(inv) },
@@ -222,13 +215,12 @@ func run(experiment string, inv invocation) error {
 		return err
 	}
 	runners := runnersFor(inv)
-	// "all" covers the paper-claim sweeps; s1, a3, cb1, ad1, cc1, ob1,
-	// sv1 and wl1 are opt-in because they overwrite the recorded
+	// "all" covers the paper-claim sweeps; s1, a3, cb1, cc1, ob1, sv1
+	// and wl1 are opt-in because they overwrite the recorded
 	// BENCH_shards.json / BENCH_allocs.json / BENCH_combine.json /
-	// BENCH_adaptive.json / BENCH_cache.json / BENCH_obs.json /
-	// BENCH_sv1.json / BENCH_wal.json trajectory points (and
-	// s1/cb1/ad1/cc1/ob1/sv1 enforce their own ops/workers floors —
-	// minutes, not seconds).
+	// BENCH_cache.json / BENCH_obs.json / BENCH_sv1.json /
+	// BENCH_wal.json trajectory points (and s1/cb1/cc1/ob1/sv1 enforce
+	// their own ops/workers floors — minutes, not seconds).
 	if experiment == "all" {
 		for _, id := range []string{"c1", "c2", "c3", "c4", "c5", "c6", "c7", "a1", "a2"} {
 			if err := runners[id](); err != nil {
@@ -1308,308 +1300,6 @@ func cb1Gate(points []cb1ProcPoint) error {
 				x, pt.GoMaxProcs, cb1MinReductionX)
 		}
 	}
-	return nil
-}
-
-// --- AD1: adaptive combining recovers the right regime per shard ---------------
-
-// ad1Reps is the default repetition count per configuration (-ad1reps
-// overrides); the median of per-repetition ratios is reported, for the
-// same scheduling-luck reasons as S1 and CB1. Seven, not five: the
-// committed BENCH_adaptive.json protocol is 7 reps (this host's load
-// drifts enough that 5 left the clustered gate inside the noise band),
-// and a default re-run must reproduce the recorded protocol.
-const ad1Reps = 7
-
-// ad1Side is one publication-mode variant of an AD1 configuration.
-type ad1Side struct {
-	OpsPerSec float64 `json:"ops_per_sec"`
-	// AvgBatch is ops drained per combining round over the timed run
-	// (absent for the uncombined side; for the adaptive side it covers
-	// only the stretches spent combining).
-	AvgBatch float64 `json:"avg_batch,omitempty"`
-	// Enables/Disables are the mode transitions during the timed run,
-	// summed over shards (medians across repetitions). Always serialized
-	// so a zero reads as "no transitions", not missing data — true on
-	// the static sides too, whose mode never changes by construction.
-	Enables  int64 `json:"enables"`
-	Disables int64 `json:"disables"`
-	// CombiningShards is how many shards ended the run in combining
-	// mode: 0 for the uncombined side, k for always-on, measured for
-	// adaptive.
-	CombiningShards int `json:"combining_shards"`
-}
-
-// ad1Workload is one (mix, shard count) configuration measured under all
-// three publication modes.
-type ad1Workload struct {
-	Mix    string `json:"mix"`
-	Shards int    `json:"shards"`
-	// Regime names which side of the combining trade this configuration
-	// sits on: "thin-spread" (combining hurts; adaptive must track the
-	// uncombined baseline) or "clustered" (combining wins; adaptive must
-	// track always-on).
-	Regime     string  `json:"regime"`
-	Uncombined ad1Side `json:"uncombined"`
-	Combined   ad1Side `json:"combined_always_on"`
-	Adaptive   ad1Side `json:"adaptive"`
-	// The ratio fields are medians of PER-REPETITION ratios: the three
-	// variants run back-to-back inside each repetition, so a drifting
-	// host-load phase hits a repetition's numerator and denominator
-	// together and cancels, where a ratio of cross-repetition medians
-	// would not. They therefore need not equal the quotient of the
-	// (per-variant median) throughput fields.
-	AdaptiveVsUncombined float64 `json:"adaptive_vs_uncombined"`
-	AdaptiveVsCombined   float64 `json:"adaptive_vs_combined"`
-}
-
-// ad1ProcPoint is one GOMAXPROCS setting's full sweep, gates included:
-// the adaptive controller must pick the winning mode at every P, not
-// just under single-P timeslicing (the throughput-derived enable signal
-// exists precisely because peer counts read differently at P>1).
-type ad1ProcPoint struct {
-	hostTopology
-	Workloads                  []ad1Workload `json:"workloads"`
-	GateThinVsUncombined       float64       `json:"gate_thin_spread_adaptive_vs_uncombined"`
-	GateClusteredVsCombinedMin float64       `json:"gate_clustered_adaptive_vs_combined_min"`
-}
-
-// ad1Report is the BENCH_adaptive.json trajectory point. Top-level
-// GoMaxProcs/NumCPU/Workloads/gates are the first swept P's values — the
-// compatibility row — while Points carries the full -gomaxprocs sweep.
-type ad1Report struct {
-	Experiment string         `json:"experiment"`
-	Timestamp  string         `json:"timestamp"`
-	GoMaxProcs int            `json:"gomaxprocs"`
-	NumCPU     int            `json:"num_cpu"`
-	Universe   int64          `json:"universe"`
-	Goroutines int            `json:"goroutines"`
-	Ops        int            `json:"ops"`
-	Reps       int            `json:"reps_median_of"`
-	Workloads  []ad1Workload  `json:"workloads"`
-	Points     []ad1ProcPoint `json:"proc_points"`
-	// GateThinVsUncombined is adaptive/uncombined throughput on the
-	// thin-spread mix; the acceptance gate tracks ≥ 0.95 (adaptive must
-	// not pay for a combining layer the workload cannot use).
-	GateThinVsUncombined float64 `json:"gate_thin_spread_adaptive_vs_uncombined"`
-	// GateClusteredVsCombinedMin is the MINIMUM adaptive/combined
-	// throughput over the clustered mixes; the gate tracks ≥ 0.9
-	// (adaptive must converge to always-on combining where it wins).
-	GateClusteredVsCombinedMin float64 `json:"gate_clustered_adaptive_vs_combined_min"`
-}
-
-// ad1 publication-mode variants.
-const (
-	ad1Uncombined = iota
-	ad1Combined
-	ad1Adaptive
-)
-
-// expAD1: the adaptive controller against both static modes, on both
-// sides of the combining trade. The thin-spread row is CB1's documented
-// loss regime (uniform update-only keys over k=16 shards leave ~1
-// publisher per combiner: always-on combining measured 0.65–0.9× there);
-// the clustered rows are CB1's win regime (everyone in one combiner's
-// catchment). Adaptive starts every shard direct and must converge to the
-// winning mode per shard at runtime, paying only the sampling tax and the
-// convergence transient; per-point mode-transition counts make the
-// convergence itself part of the recorded trajectory. The whole sweep
-// repeats per -gomaxprocs setting. Writes the BENCH_adaptive.json
-// trajectory point unless -adaptivejson is empty.
-func expAD1(inv invocation) error {
-	ops, workers, seed := inv.ops, inv.workers, inv.seed
-	reps, jsonPath := inv.adaptiveReps, inv.adaptivePath
-	procs, err := inv.procs()
-	if err != nil {
-		return err
-	}
-	const u = int64(1 << 16)
-	if workers < 16 {
-		fmt.Printf("ad1: raising -workers to 16 (both gates are defined at 16 goroutines)\n")
-		workers = 16
-	}
-	if reps < 1 {
-		reps = 1
-	}
-	// The gate-grade protocol needs long measurements (the adaptive
-	// transient must be amortizable, not the whole run) — but a one-rep
-	// run is never gate-grade anyway (the gates are medians of per-rep
-	// ratios), so the CI smoke that only confirms the JSON writer keeps
-	// its small explicit -ops instead of paying minutes.
-	if reps > 1 && ops < 800000 {
-		fmt.Printf("ad1: raising -ops to 800000 (the adaptive transient must be amortizable, not the whole run)\n")
-		ops = 800000
-	} else if reps == 1 && ops < 800000 {
-		fmt.Printf("ad1: one-rep run at %d ops — smoke only, NOT comparable to the recorded gate-grade artifact (7 reps, 800k ops)\n", ops)
-	}
-	fmt.Printf("== AD1: adaptive vs static publication modes (ops/s, %d goroutines) ==\n", workers)
-	report := ad1Report{
-		Experiment: "ad1-adaptive",
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Universe:   u,
-		Goroutines: workers,
-		Ops:        ops,
-		Reps:       reps,
-	}
-	// One measurement: fresh trie, half-full prefill, timed run, counter
-	// deltas from post-prefill snapshots (the solo prefill itself runs
-	// direct under the adaptive default and is excluded from every
-	// reported number).
-	measure := func(k, variant int, mix workload.Mix, dist workload.KeyDist) (ad1Side, error) {
-		var tr *sharded.Trie
-		var err error
-		switch variant {
-		case ad1Uncombined:
-			tr, err = sharded.New(u, k)
-		case ad1Combined:
-			tr, err = sharded.NewCombining(u, k)
-		case ad1Adaptive:
-			tr, err = sharded.NewAdaptive(u, k, adapt.Config{})
-		}
-		if err != nil {
-			return ad1Side{}, err
-		}
-		for key := int64(0); key < u; key += 2 {
-			tr.Insert(key)
-		}
-		cs0 := tr.CombineStats()
-		enables0, disables0 := tr.AdaptiveStats()
-		res, err := harness.Run(tr, harness.Config{
-			Workers:      workers,
-			OpsPerWorker: ops / workers,
-			Mix:          mix,
-			Dist:         dist,
-			Seed:         seed,
-		})
-		if err != nil {
-			return ad1Side{}, err
-		}
-		side := ad1Side{OpsPerSec: res.Throughput}
-		if variant != ad1Uncombined {
-			cs := tr.CombineStats()
-			if r := cs.Rounds - cs0.Rounds; r > 0 {
-				side.AvgBatch = float64(cs.Batched-cs0.Batched) / float64(r)
-			}
-		}
-		if variant == ad1Combined {
-			side.CombiningShards = k // every shard combines by construction
-		}
-		if variant == ad1Adaptive {
-			enables, disables := tr.AdaptiveStats()
-			side.Enables, side.Disables = enables-enables0, disables-disables0
-			for i := 0; i < k; i++ {
-				if tr.ShardCombining(i) {
-					side.CombiningShards++
-				}
-			}
-		}
-		return side, nil
-	}
-	configs := []struct {
-		name   string
-		regime string
-		mix    workload.Mix
-		k      int
-		dist   workload.KeyDist
-	}{
-		// The loss regime: ~1 publisher per combiner.
-		{"thin-spread-update-heavy", "thin-spread", workload.MixUpdateOnly, 16, workload.Uniform{U: u}},
-		// The win regimes: all publishers in one combiner's catchment.
-		{"update-heavy", "clustered", workload.MixUpdateOnly, 1, workload.Uniform{U: u}},
-		{"uniform-update-heavy", "clustered", workload.MixUpdateHeavy, 1, workload.Uniform{U: u}},
-		{"hotshard-update-heavy", "clustered", workload.MixUpdateOnly, 16,
-			workload.HotRange{U: u, HotLo: u / 2, HotWidth: u / 16, HotPct: 90}},
-	}
-	if err := perP(procs, func(p int) error {
-		pt := ad1ProcPoint{hostTopology: topologyAt(p)}
-		tab := harness.NewTable("workload", "k", "ops/s uncomb", "ops/s comb", "ops/s adaptive",
-			"ad/uncomb", "ad/comb", "flips", "comb shards")
-		for _, cfg := range configs {
-			sides := make([][]float64, 3)
-			var avgB, avgBC, en, dis, rUnc, rComb, shardsOn []float64
-			for rep := 0; rep < reps; rep++ {
-				// The three variants run back-to-back inside a repetition so
-				// machine-noise phases hit all of them (and cancel in the
-				// per-repetition ratios below), and the order ROTATES per
-				// repetition: with a fixed order, load drifting monotonically
-				// across a repetition systematically penalizes whichever
-				// variant always runs last.
-				var repSides [3]ad1Side
-				for j := 0; j < 3; j++ {
-					v := (rep + j) % 3
-					side, err := measure(cfg.k, v, cfg.mix, cfg.dist)
-					if err != nil {
-						return err
-					}
-					repSides[v] = side
-					sides[v] = append(sides[v], side.OpsPerSec)
-					if v == ad1Combined {
-						avgBC = append(avgBC, side.AvgBatch)
-					}
-					if v == ad1Adaptive {
-						avgB = append(avgB, side.AvgBatch)
-						en = append(en, float64(side.Enables))
-						dis = append(dis, float64(side.Disables))
-						shardsOn = append(shardsOn, float64(side.CombiningShards))
-					}
-				}
-				if repSides[ad1Uncombined].OpsPerSec > 0 {
-					rUnc = append(rUnc, repSides[ad1Adaptive].OpsPerSec/repSides[ad1Uncombined].OpsPerSec)
-				}
-				if repSides[ad1Combined].OpsPerSec > 0 {
-					rComb = append(rComb, repSides[ad1Adaptive].OpsPerSec/repSides[ad1Combined].OpsPerSec)
-				}
-			}
-			wl := ad1Workload{
-				Mix: cfg.name, Shards: cfg.k, Regime: cfg.regime,
-				Uncombined: ad1Side{OpsPerSec: median(sides[ad1Uncombined])},
-				Combined: ad1Side{OpsPerSec: median(sides[ad1Combined]),
-					AvgBatch: median(avgBC), CombiningShards: cfg.k},
-				Adaptive: ad1Side{
-					OpsPerSec: median(sides[ad1Adaptive]), AvgBatch: median(avgB),
-					Enables: int64(median(en)), Disables: int64(median(dis)),
-					CombiningShards: int(median(shardsOn)),
-				},
-			}
-			if len(rUnc) > 0 {
-				wl.AdaptiveVsUncombined = median(rUnc)
-			}
-			if len(rComb) > 0 {
-				wl.AdaptiveVsCombined = median(rComb)
-			}
-			if cfg.regime == "thin-spread" {
-				pt.GateThinVsUncombined = wl.AdaptiveVsUncombined
-			} else if pt.GateClusteredVsCombinedMin == 0 ||
-				wl.AdaptiveVsCombined < pt.GateClusteredVsCombinedMin {
-				pt.GateClusteredVsCombinedMin = wl.AdaptiveVsCombined
-			}
-			pt.Workloads = append(pt.Workloads, wl)
-			tab.AddRow(cfg.name, cfg.k, wl.Uncombined.OpsPerSec, wl.Combined.OpsPerSec,
-				wl.Adaptive.OpsPerSec, wl.AdaptiveVsUncombined, wl.AdaptiveVsCombined,
-				wl.Adaptive.Enables+wl.Adaptive.Disables, wl.Adaptive.CombiningShards)
-		}
-		fmt.Println(tab)
-		report.Points = append(report.Points, pt)
-		return nil
-	}); err != nil {
-		return err
-	}
-	report.GoMaxProcs = report.Points[0].GoMaxProcs
-	report.NumCPU = report.Points[0].NumCPU
-	report.Workloads = report.Points[0].Workloads
-	report.GateThinVsUncombined = report.Points[0].GateThinVsUncombined
-	report.GateClusteredVsCombinedMin = report.Points[0].GateClusteredVsCombinedMin
-	if jsonPath == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n\n", jsonPath)
 	return nil
 }
 

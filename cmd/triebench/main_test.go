@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,7 +14,7 @@ import (
 func testInvocation() invocation {
 	return invocation{
 		ops: 1000, workers: 1, seed: 1, shards: 16,
-		combineReps: 1, adaptiveReps: 1, cacheReps: 1,
+		combineReps: 1, cacheReps: 1,
 	}
 }
 
@@ -52,6 +55,38 @@ func TestExperimentRegistryMatchesIDs(t *testing.T) {
 	for id := range runners {
 		if !advertised[id] {
 			t.Errorf("runner %q is not in experimentIDs", id)
+		}
+	}
+}
+
+// TestCommittedArtifactsHaveAnExperiment: every committed BENCH_*.json
+// names, before the first '-' of its "experiment" field, an id with a
+// runner, so deleting an experiment cannot leave its artifact behind with
+// nothing to reproduce it.
+func TestCommittedArtifactsHaveAnExperiment(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no BENCH_*.json found at the repository root")
+	}
+	runners := runnersFor(testInvocation())
+	for _, path := range paths {
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var art struct {
+			Experiment string `json:"experiment"`
+		}
+		if err := json.Unmarshal(buf, &art); err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		id, _, _ := strings.Cut(art.Experiment, "-")
+		if _, ok := runners[id]; !ok {
+			t.Errorf("%s: experiment %q names no registered id (%q)", path, art.Experiment, id)
 		}
 	}
 }

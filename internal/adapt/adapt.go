@@ -54,11 +54,10 @@ import (
 	"time"
 
 	"repro/internal/atomicx"
-	"repro/internal/obs"
 )
 
 // Default thresholds, tuned from the cb1/ad1 trajectories
-// (BENCH_combine.json, BENCH_adaptive.json): clustered workloads drain
+// (BENCH_combine.json and ad1's artifact, deleted with ad1): clustered workloads drain
 // 6.8–16 ops per round and park 8+ concurrent publishers per shard, while
 // thin-spread shards see 0–3-peer preemption bursts. The enable side is
 // deliberately conservative — a FALSE enable is expensive to detect on a
@@ -118,9 +117,7 @@ type Config struct {
 	// switches back to direct. Must stay below Enable; the gap is the
 	// hysteresis band. An inverted band (Disable ≥ Enable, possible when
 	// only Enable is set and falls under the default Disable) is clamped
-	// to Disable = Enable/2 so hysteresis always exists — the public
-	// facade validates and errors instead (WithAdaptiveCombining);
-	// direct internal callers get the documented clamp.
+	// to Disable = Enable/2 so hysteresis always exists.
 	Disable float64
 	// RetractDisable is the retraction-rate (retracted / submitted)
 	// threshold that disables combining regardless of the batch EWMA.
@@ -254,23 +251,6 @@ type Controller struct {
 	directPeak float64
 	// start anchors Tick's Nanos readings; set once in New.
 	start time.Time
-
-	// events, when non-nil, receives one trace event per mode flip,
-	// carrying the signal values that justified the decision (set once via
-	// SetEvents, before concurrent use). Flips are rare — dwell bounds them
-	// to one per MinDwell samples — so the publish cost never rides the
-	// publication path.
-	events  *obs.Ring
-	evShard int32
-}
-
-// SetEvents routes this controller's mode flips — obs.KindAdaptiveEnable
-// and obs.KindAdaptiveDisable, with triggering signal values in the args —
-// to ring, tagged with shard. Install before concurrent use (the fields
-// are plain).
-func (c *Controller) SetEvents(ring *obs.Ring, shard int32) {
-	c.events = ring
-	c.evShard = shard
 }
 
 // New returns a controller with cfg's thresholds (zero fields take the
@@ -402,29 +382,10 @@ func (c *Controller) Step(s Sample) {
 		c.mode.Store(modeCombining)
 		c.enables.Add(1)
 		c.dwell = 0
-		if c.events != nil {
-			// Which signal fired: the primary estimate reaching Enable, or
-			// the secondary throughput collapse (the two are not exclusive;
-			// the flag records whether the flip NEEDED the secondary path).
-			tputFired := int64(0)
-			if c.ewma < c.cfg.Enable {
-				tputFired = 1
-			}
-			c.events.Publish(obs.KindAdaptiveEnable, c.evShard,
-				int64(c.ewma*1000), tputFired, int64(c.tput), int64(c.directPeak))
-		}
 	case combining && c.disableWanted(dRounds, dBatched, dRetracts, dElect):
 		c.mode.Store(modeDirect)
 		c.disables.Add(1)
 		c.dwell = 0
-		if c.events != nil {
-			var rate float64
-			if d := dBatched + dRetracts; d > 0 {
-				rate = float64(dRetracts) / float64(d)
-			}
-			c.events.Publish(obs.KindAdaptiveDisable, c.evShard,
-				int64(c.ewma*1000), int64(rate*1000), dRounds, dRetracts)
-		}
 	}
 }
 

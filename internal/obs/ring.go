@@ -10,21 +10,11 @@ import (
 type Kind int32
 
 // Control-plane event kinds. Arg layouts are documented per kind; every
-// arg is an int64 (fractional signals ship ×1000, as milli-units).
+// arg is an int64.
 const (
-	// KindAdaptiveEnable: a shard's controller flipped direct→combining.
-	// Args: [0] contention-estimate EWMA ×1000, [1] 1 if the
-	// throughput-collapse signal (not the estimate threshold) triggered
-	// the flip, [2] throughput EWMA (ops/sec), [3] best direct-mode
-	// throughput observed (ops/sec).
-	KindAdaptiveEnable Kind = iota + 1
-	// KindAdaptiveDisable: combining→direct. Args: [0] estimate EWMA
-	// ×1000, [1] retraction rate ×1000 over the deciding window, [2]
-	// rounds in the window, [3] retractions in the window.
-	KindAdaptiveDisable
 	// KindEpochAdvance: an EBR domain's global epoch moved. Args: [0]
 	// the new epoch.
-	KindEpochAdvance
+	KindEpochAdvance Kind = iota + 1
 	// KindCombinerElect: a goroutine won a combiner election and drained
 	// a round. Sampled — one event per ElectEventEvery rounds, or the
 	// ring would be all elections. Args: [0] ops drained by this round,
@@ -38,10 +28,6 @@ const (
 // String implements fmt.Stringer.
 func (k Kind) String() string {
 	switch k {
-	case KindAdaptiveEnable:
-		return "adaptive-enable"
-	case KindAdaptiveDisable:
-		return "adaptive-disable"
 	case KindEpochAdvance:
 		return "epoch-advance"
 	case KindCombinerElect:
@@ -60,9 +46,9 @@ func (k Kind) String() string {
 // the rare events that matter and put a publish on a near-hot path.
 const ElectEventEvery = 64
 
-// EventArgs is the per-event payload arity (the widest kind, an adaptive
-// flip, carries four).
-const EventArgs = 4
+// EventArgs is the per-event payload arity (the widest kind, a combiner
+// election, carries two).
+const EventArgs = 2
 
 // Event is one drained control-plane event.
 type Event struct {
@@ -124,9 +110,9 @@ type Ring struct {
 }
 
 // DefaultRingSize is the slot count NewRing uses for n ≤ 0: large enough
-// that sampled elections do not lap an adaptive flip between two drains of
-// a 1 Hz monitor at realistic round rates, small enough (~100 KiB) to be
-// always-on.
+// that sampled elections do not lap a retraction or epoch advance between
+// two drains of a 1 Hz monitor at realistic round rates, small enough
+// (40 KiB at 40 B a slot) to be always-on.
 const DefaultRingSize = 1024
 
 // NewRing returns a ring with n slots (n ≤ 0 selects DefaultRingSize; n

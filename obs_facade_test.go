@@ -192,90 +192,6 @@ func TestDescentStatsGated(t *testing.T) {
 	}
 }
 
-// TestEventsCaptureAdaptiveFlip is the acceptance trace: under a
-// clustered update burst an adaptive controller must publish at least one
-// enable flip with its triggering signal values.
-func TestEventsCaptureAdaptiveFlip(t *testing.T) {
-	tr, err := lockfreetrie.New(1<<12,
-		// Aggressive tuning so the flip lands within the burst even on a
-		// single-P host: sample every 4 ops, enable at a sustained ~1.5
-		// concurrent publishers, flip after one sample of dwell.
-		lockfreetrie.WithAdaptiveCombining(lockfreetrie.AdaptiveConfig{
-			SampleEvery:      4,
-			EnableThreshold:  1.5,
-			DisableThreshold: 0.5,
-			MinDwellSamples:  1,
-		}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The burst can publish more events than the ring holds (epoch
-	// advances, retractions), so a concurrent drainer keeps the early
-	// enable from being overwritten.
-	stop := make(chan struct{})
-	drained := make(chan []lockfreetrie.TraceEvent)
-	go func() {
-		var evs []lockfreetrie.TraceEvent
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				drained <- append(evs, tr.Events()...)
-				return
-			case <-tick.C:
-				evs = append(evs, tr.Events()...)
-			}
-		}
-	}()
-
-	// Clustered update burst → adaptive enable.
-	const workers, per = 8, 4000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(id int64) {
-			defer wg.Done()
-			for i := int64(0); i < per; i++ {
-				x := (id*per + i) % 512 // one hot range
-				if i%3 == 0 {
-					_ = tr.Delete(x)
-				} else {
-					_ = tr.Insert(x)
-				}
-			}
-		}(int64(w))
-	}
-	wg.Wait()
-	close(stop)
-
-	var enables int
-	for _, e := range <-drained {
-		if e.Kind == "adaptive-enable" {
-			enables++
-			if _, ok := e.Values["ewma_milli"]; !ok {
-				t.Errorf("adaptive-enable event missing its triggering signal: %+v", e)
-			}
-		}
-	}
-	if enables == 0 {
-		t.Error("no adaptive-enable event captured across the clustered burst")
-	}
-
-	// The transition counter and the event trace must agree in spirit: at
-	// least as many transitions counted as events captured (the ring may
-	// drop, never invent).
-	en, _ := tr.AdaptiveStats()
-	if int(en) < enables {
-		t.Errorf("AdaptiveStats enables = %d < %d captured events", en, enables)
-	}
-	if s := tr.MetricsSnapshot(); s.Counters["trie.shards"] != 1 {
-		t.Errorf("trie.shards gauge = %d, want 1", s.Counters["trie.shards"])
-	}
-}
-
 // TestEventsCaptureCombinerElect is the end-to-end trace test: under a
 // clustered update burst through WithCombining, Trie.Events must surface
 // the sampled combiner-election events with their decoded batch and

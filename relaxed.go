@@ -18,16 +18,13 @@ type Relaxed struct {
 
 // NewRelaxed returns an empty relaxed trie over {0,…,universe−1} (same
 // bounds as New). It is always the paper's single unsharded §4 trie:
-// WithShards(k) with k > 1, WithCombining, WithAdaptiveCombining and
-// WithDurability return an error naming the option.
-// WithoutCompressedDescents applies; the observability options are
-// accepted and ignored.
+// WithShards(k) with k > 1, WithCombining and WithDurability return an
+// error naming the option. The observability options are accepted and
+// ignored.
 func NewRelaxed(universe int64, opts ...Option) (*Relaxed, error) {
-	cfg := config{shards: 1}
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
+	cfg, err := newConfig(universe, opts)
+	if err != nil {
+		return nil, err
 	}
 	var rejected string
 	switch {
@@ -35,8 +32,6 @@ func NewRelaxed(universe int64, opts ...Option) (*Relaxed, error) {
 		rejected = fmt.Sprintf("WithShards(%d)", cfg.shards)
 	case cfg.combining:
 		rejected = "WithCombining"
-	case cfg.adaptive:
-		rejected = "WithAdaptiveCombining"
 	case cfg.dur != nil:
 		return nil, fmt.Errorf("lockfreetrie: WithDurability is incompatible with NewRelaxed (no batch entrypoint to seed recovery through)")
 	}
@@ -46,9 +41,6 @@ func NewRelaxed(universe int64, opts ...Option) (*Relaxed, error) {
 	r, err := relaxed.New(universe)
 	if err != nil {
 		return nil, fmt.Errorf("lockfreetrie: %w", err)
-	}
-	if cfg.noCompress {
-		r.Bits().SetCompressedDescents(false)
 	}
 	return &Relaxed{trie: r}, nil
 }

@@ -34,22 +34,16 @@
 // When many goroutines update the SAME shard, add WithCombining() to batch
 // their announcements through a per-shard flat-combining layer, or call
 // Trie.ApplyBatch directly if the application already aggregates writes.
-// If the update clustering is unknown or varies at runtime, use
-// WithAdaptiveCombining() instead: each shard then watches its own
-// contention signals and flips between direct and combining publication
-// with hysteresis (DESIGN.md §Adaptive combining). The shard count itself
-// is fixed at construction by WithShards.
+// Both the shard count and the publication path are fixed at construction.
 //
 // See examples/ for runnable programs and DESIGN.md for the architecture.
 package lockfreetrie
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/combine"
 	"repro/internal/core"
 	"repro/internal/sharded"
@@ -72,11 +66,8 @@ func (e *KeyRangeError) Error() string {
 
 // config collects the functional options of New and NewRelaxed.
 type config struct {
-	shards     int
-	combining  bool
-	adaptive   bool
-	acfg       adapt.Config
-	noCompress bool
+	shards    int
+	combining bool
 	// Observability options (obs.go). latEvery 0 selects the default
 	// sampling cadence.
 	obsOff       bool
@@ -122,22 +113,6 @@ func WithShards(k int) Option {
 	}
 }
 
-// WithoutCompressedDescents disables the cache-compressed trie descents:
-// Predecessor/Successor walk the dense node array instead of consulting
-// the per-64-node occupancy summary words that let them skip empty
-// subtrie regions in one load (internal/bitstrie, DESIGN.md
-// §Cache-compressed descents). The summaries are advisory — every answer
-// is identical either way — so the only reason to turn them off is
-// measurement: triebench's cc1 experiment uses this switch to embed the
-// uncompressed baseline. Composes with every other option and applies to
-// every shard.
-func WithoutCompressedDescents() Option {
-	return func(c *config) error {
-		c.noCompress = true
-		return nil
-	}
-}
-
 // WithCombining routes Insert and Delete through a per-shard flat-combining
 // layer (internal/combine): concurrent updates on the same shard publish to
 // a fixed array of padded publication slots, one goroutine elects itself
@@ -167,122 +142,6 @@ func WithCombining() Option {
 	}
 }
 
-// AdaptiveConfig tunes WithAdaptiveCombining. The zero value of every
-// field selects a default tuned from the CB1/AD1 trajectory data
-// (BENCH_combine.json, BENCH_adaptive.json: clustered workloads drain
-// 6.8–16 ops per combining round and park 7–15 concurrent publishers per
-// shard, thin-spread ones ~1 and 0–4, so the default hysteresis band
-// [1.4, 4.0] separates the regimes with margin on both sides).
-type AdaptiveConfig struct {
-	// SampleEvery is the number of updates between signal samples per
-	// shard (default 128).
-	SampleEvery int
-	// EnableThreshold is the contention estimate — the batch size a
-	// combining round would drain, inferred from announced and in-flight
-	// concurrent updates — at which a shard switches its updates to the
-	// combining layer (default 4.0; deliberately conservative, because a
-	// wrong enable is hard to detect from inside — see DESIGN.md
-	// §Adaptive combining).
-	EnableThreshold float64
-	// DisableThreshold is the observed batch-size EWMA at which a
-	// combining shard switches back to direct publication (default 1.4).
-	// Must be below EnableThreshold; the gap is the hysteresis band.
-	DisableThreshold float64
-	// RetractRateDisable is the fraction of submissions escaping a busy
-	// combiner (retraction rate) that disables combining regardless of
-	// batch sizes (default 0.5).
-	RetractRateDisable float64
-	// SmoothingAlpha is the EWMA weight of the newest signal observation,
-	// in (0, 1] (default 0.4). Higher values react to regime changes in
-	// fewer samples; lower values demand more sustained evidence before a
-	// flip.
-	SmoothingAlpha float64
-	// MinDwellSamples is the minimum number of samples a shard stays in
-	// a mode before it may flip again (default 4).
-	MinDwellSamples int
-	// StartCombining selects each shard's initial mode (default:
-	// direct).
-	StartCombining bool
-}
-
-// WithAdaptiveCombining is WithCombining with the decision moved from
-// construction time to runtime, per shard: every shard gets publication
-// slots AND a controller that samples the shard's contention signals
-// (announcement-list length and in-flight updates while direct; drained
-// batch size, combiner-election contention and retraction pressure while
-// combining) every SampleEvery updates and flips an atomic mode word the
-// update path reads on every operation. Enable and disable use distinct
-// thresholds plus a minimum dwell, so workloads wandering near one
-// threshold do not thrash, and operations in flight across a flip stay
-// linearizable — the mode word is advisory routing over two publication
-// paths that are already safe concurrently (DESIGN.md §Adaptive
-// combining).
-//
-// Use it when the update clustering is unknown or varies: a shard that
-// stays thin keeps the direct path's throughput (the AD1 experiment gates
-// ≥ 0.95× uncombined on a thin-spread mix), while a shard that becomes hot
-// converges to the combining path's (≥ 0.9× always-on combining on
-// clustered mixes, BENCH_adaptive.json). With a KNOWN stable workload the
-// static choices — WithCombining() or nothing — avoid the sampling tax
-// and the convergence transient. At most one AdaptiveConfig may be given;
-// none selects the tuned defaults. Overrides WithCombining when both are
-// set. Composes with WithShards exactly as WithCombining does.
-func WithAdaptiveCombining(cfg ...AdaptiveConfig) Option {
-	return func(c *config) error {
-		if len(cfg) > 1 {
-			return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: at most one AdaptiveConfig, got %d", len(cfg))
-		}
-		c.adaptive = true
-		if len(cfg) == 1 {
-			a := cfg[0]
-			// Out-of-domain values error loudly rather than silently
-			// coercing to defaults — a controller running with tuning the
-			// caller did not ask for is worse than a construction error.
-			// The checks are phrased as !(in-range) so NaN (for which
-			// every ordered comparison is false, including the clamps
-			// further down) is rejected too.
-			if !(a.SmoothingAlpha >= 0 && a.SmoothingAlpha <= 1) {
-				return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: SmoothingAlpha %v outside (0, 1]", a.SmoothingAlpha)
-			}
-			if !(a.RetractRateDisable >= 0 && a.RetractRateDisable <= 1) {
-				return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: RetractRateDisable %v outside (0, 1] (it is compared against a rate)", a.RetractRateDisable)
-			}
-			if a.SampleEvery < 0 || a.MinDwellSamples < 0 {
-				return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: SampleEvery %d and MinDwellSamples %d must not be negative",
-					a.SampleEvery, a.MinDwellSamples)
-			}
-			if !(a.EnableThreshold >= 0) || !(a.DisableThreshold >= 0) ||
-				math.IsInf(a.EnableThreshold, 1) || math.IsInf(a.DisableThreshold, 1) {
-				return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: thresholds must be finite and non-negative")
-			}
-			// Validate the band against the EFFECTIVE values, so setting
-			// one threshold against the other's default errors just as
-			// loudly as setting both inconsistently.
-			en, dis := a.EnableThreshold, a.DisableThreshold
-			if en == 0 {
-				en = adapt.DefaultEnable
-			}
-			if dis == 0 {
-				dis = adapt.DefaultDisable
-			}
-			if dis >= en {
-				return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: DisableThreshold %v (default %v) must be below EnableThreshold %v (default %v)",
-					dis, adapt.DefaultDisable, en, adapt.DefaultEnable)
-			}
-			c.acfg = adapt.Config{
-				SampleEvery:    int64(a.SampleEvery),
-				Alpha:          a.SmoothingAlpha,
-				Enable:         a.EnableThreshold,
-				Disable:        a.DisableThreshold,
-				RetractDisable: a.RetractRateDisable,
-				MinDwell:       int64(a.MinDwellSamples),
-				StartCombining: a.StartCombining,
-			}
-		}
-		return nil
-	}
-}
-
 // set is the backend contract the exported API layers key validation and
 // the composed operations (Floor, Max, Range, Keys, Ceiling) on top of: the
 // sharded table itself, or the durable wrapper around it.
@@ -307,29 +166,21 @@ type Trie struct {
 	recovery RecoveryStats
 }
 
-// newSharded builds the k-shard table carrying the configured options.
-func (c *config) newSharded(universe int64, k int) (*sharded.Trie, error) {
-	var t *sharded.Trie
-	var err error
-	switch {
-	case c.adaptive:
-		t, err = sharded.NewAdaptive(universe, k, c.acfg)
-	case c.combining:
-		t, err = sharded.NewCombining(universe, k)
-	default:
-		t, err = sharded.New(universe, k)
+// newConfig applies opts over the defaults, after checking universe
+// against MaxUniverse before anything is allocated: the per-shard bound
+// below it would let k shards of 2^32 keys each through. New and
+// NewRelaxed share it.
+func newConfig(universe int64, opts []Option) (config, error) {
+	cfg := config{shards: 1}
+	if universe > MaxUniverse {
+		return cfg, fmt.Errorf("lockfreetrie: universe %d exceeds MaxUniverse (%d)", universe, MaxUniverse)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if c.noCompress {
-		// The table is still private here, so the plain-field switch is
-		// safe.
-		for i := 0; i < t.Shards(); i++ {
-			t.Shard(i).Bits().SetCompressedDescents(false)
+	for _, opt := range opts {
+		if err := opt(&cfg); err != nil {
+			return cfg, err
 		}
 	}
-	return t, nil
+	return cfg, nil
 }
 
 // New returns an empty trie over the universe {0,…,universe−1}. universe
@@ -340,16 +191,18 @@ func (c *config) newSharded(universe int64, k int) (*sharded.Trie, error) {
 // held as a one-shard table; WithShards(k) partitions the universe across
 // k independent tries.
 func New(universe int64, opts ...Option) (*Trie, error) {
-	cfg := config{shards: 1}
-	for _, opt := range opts {
-		if err := opt(&cfg); err != nil {
-			return nil, err
-		}
+	cfg, err := newConfig(universe, opts)
+	if err != nil {
+		return nil, err
 	}
 	if err := cfg.validateObservability(); err != nil {
 		return nil, err
 	}
-	st, err := cfg.newSharded(universe, cfg.shards)
+	mk := sharded.New
+	if cfg.combining {
+		mk = sharded.NewCombining
+	}
+	st, err := mk(universe, cfg.shards)
 	if err != nil {
 		return nil, fmt.Errorf("lockfreetrie: %w", err)
 	}
@@ -381,17 +234,8 @@ func (t *Trie) Universe() int64 { return t.st.U() }
 // Shards returns the configured shard count (1 for the unsharded trie).
 func (t *Trie) Shards() int { return t.st.Shards() }
 
-// Combining reports whether the trie has a combining layer (WithCombining
-// or WithAdaptiveCombining).
+// Combining reports whether the trie has a combining layer (WithCombining).
 func (t *Trie) Combining() bool { return t.st.Combining() }
-
-// AdaptiveCombining reports whether WithAdaptiveCombining was set.
-func (t *Trie) AdaptiveCombining() bool { return t.st.Adaptive() }
-
-// AdaptiveStats returns the cumulative mode-transition counts summed over
-// all shards: enables (direct→combining flips) and disables (the
-// reverse). Zeros unless WithAdaptiveCombining was set.
-func (t *Trie) AdaptiveStats() (enables, disables int64) { return t.st.AdaptiveStats() }
 
 // Len returns the number of keys currently in the set. O(shards): it sums
 // the per-shard occupancy summary (one counter on the unsharded trie).

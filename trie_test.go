@@ -22,6 +22,20 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestUniverseAboveMaxRejected: MaxUniverse bounds the whole universe, not
+// each shard's, so two shards of 2^32 keys are refused before anything is
+// allocated.
+func TestUniverseAboveMaxRejected(t *testing.T) {
+	const u = 2 * lockfreetrie.MaxUniverse
+	_, err := lockfreetrie.New(u, lockfreetrie.WithShards(2))
+	if err == nil || !strings.Contains(err.Error(), "MaxUniverse") {
+		t.Errorf("New(2*MaxUniverse, WithShards(2)) = %v, want an error naming MaxUniverse", err)
+	}
+	if _, err := lockfreetrie.NewRelaxed(u); err == nil || !strings.Contains(err.Error(), "MaxUniverse") {
+		t.Errorf("NewRelaxed(2*MaxUniverse) = %v, want an error naming MaxUniverse", err)
+	}
+}
+
 func TestOptionsValidation(t *testing.T) {
 	tr, err := lockfreetrie.New(64)
 	if err != nil {
@@ -321,7 +335,6 @@ func TestNewRelaxedRejectsOptions(t *testing.T) {
 	}{
 		{lockfreetrie.WithShards(4), "WithShards(4)"},
 		{lockfreetrie.WithCombining(), "WithCombining"},
-		{lockfreetrie.WithAdaptiveCombining(), "WithAdaptiveCombining"},
 		{lockfreetrie.WithDurability(t.TempDir()), "WithDurability"},
 	}
 	for _, tc := range cases {
@@ -334,7 +347,7 @@ func TestNewRelaxedRejectsOptions(t *testing.T) {
 		}
 	}
 	tr, err := lockfreetrie.NewRelaxed(1<<10, lockfreetrie.WithShards(1),
-		lockfreetrie.WithoutCompressedDescents(), lockfreetrie.WithLatencySampling(8))
+		lockfreetrie.WithLatencySampling(8))
 	if err != nil {
 		t.Fatalf("NewRelaxed rejected the options that apply: %v", err)
 	}
